@@ -27,7 +27,9 @@ inline double seconds_between(Clock::time_point a, Clock::time_point b) {
 /// set-up by direct core::spmm / core::sddmm calls outside the pool.
 struct MatrixItem {
   serve::Request req;
-  bool shard_sized = false;  // priced above the pool's shard threshold
+  /// Row slices DevicePool splits the request into under the layer-mix
+  /// pool's config (1 = placed whole).
+  std::size_t shards = 1;
   std::shared_ptr<const Matrix<std::int32_t>> ref_spmm;
   std::shared_ptr<const sparse::Bcrs<std::int32_t>> ref_sddmm;
 };
@@ -47,8 +49,6 @@ struct Params {
   double light_rps = 0.0;
   double busy_rps = 0.0;
   double slo_ms = 0.0;
-  std::size_t cache_bytes = 0;       // per-device operand cache, 0 = default
-  std::size_t plan_cache_bytes = 0;  // shared plan cache, 0 = default
   bool quick = false;                // small inputs for the self-check
   /// Only the minimal subset that reaches every layer of the workload once
   /// (the traced pass probes layers its own workload does not exercise).

@@ -1,8 +1,7 @@
 // perfbench_serve: the repository's serving benchmark.
 //
 //   perfbench_serve --workload NAME --seed N --seconds S --trace 0|1
-//                   --light-rps R --busy-rps R --slo-ms MS
-//                   [--cache-bytes B] [--plan-cache-bytes B] [--quick]
+//                   --light-rps R --busy-rps R --slo-ms MS [--quick]
 //                   [--spans-out PATH]
 //
 // One generator thread drives the workload through the public serving API
@@ -536,8 +535,8 @@ struct Options {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --workload NAME --seed N --seconds S --trace 0|1 "
-               "--light-rps R --busy-rps R --slo-ms MS [--cache-bytes B] "
-               "[--plan-cache-bytes B] [--quick] [--spans-out PATH]\n",
+               "--light-rps R --busy-rps R --slo-ms MS [--quick] "
+               "[--spans-out PATH]\n",
                argv0);
   std::exit(2);
 }
@@ -559,8 +558,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--light-rps") o.params.light_rps = std::stod(v);
     else if (a == "--busy-rps") o.params.busy_rps = std::stod(v);
     else if (a == "--slo-ms") o.params.slo_ms = std::stod(v);
-    else if (a == "--cache-bytes") o.params.cache_bytes = std::stoull(v);
-    else if (a == "--plan-cache-bytes") o.params.plan_cache_bytes = std::stoull(v);
     else if (a == "--spans-out") o.spans_out = v;
     else usage(argv[0]);
   }
@@ -600,10 +597,11 @@ int run(const Options& opt) {
                     1048576.0);
   }
   for (const MatrixItem& it : w.items) {
-    if (!it.shard_sized) continue;
-    std::printf("prefill-sized request: %zu x %zu x %zu %s\n",
+    if (it.shards <= 1) continue;
+    std::printf("prefill-sized request: %zu x %zu x %zu %s, %zu slices\n",
                 it.req.pattern->rows, it.req.pattern->cols,
-                it.req.rhs_values->cols(), pair_tag(it.req.precision).c_str());
+                it.req.rhs_values->cols(), pair_tag(it.req.precision).c_str(),
+                it.shards);
   }
 
   // Set-up: pool construction plus the warm pass, five times; the median

@@ -7,7 +7,7 @@
 Run from the repository root. The first run configures and builds the
 benchmark with CMake into the directory named by CARGO_TARGET_DIR (default
 .bench_build); later runs only re-check the build. The workload's frozen
-rates, latency limit and cache budgets come from perfbench/config.json.
+rates and latency limit come from perfbench/config.json.
 
 Standard output carries the benchmark's report, and as its last line one
 JSON object: {"correct", "attempted", "failed", "metrics"}, where metrics
@@ -93,10 +93,6 @@ def main():
            "--slo-ms", repr(wl["slo_ms"]),
            "--spans-out", os.path.join(
                spans_dir, f"{args.workload}_seed{args.seed}.json")]
-    if "cache_bytes" in wl:
-        cmd += ["--cache-bytes", str(wl["cache_bytes"])]
-    if "plan_cache_bytes" in wl:
-        cmd += ["--plan-cache-bytes", str(wl["plan_cache_bytes"])]
     if args.quick:
         cmd.append("--quick")
     try:

@@ -131,8 +131,7 @@ Scalar qkv_scalar(transformer::AttentionScheme s) {
 class Tracer {
  public:
   explicit Tracer(const Workload& w)
-      : cfg_(w.pool),
-        ops_(w.pool.cache_capacity_bytes),
+      : ops_(w.pool.cache_capacity_bytes),
         plans_(w.pool.plan_cache_capacity_bytes),
         direct_ops_(w.pool.cache_capacity_bytes),
         direct_plans_(w.pool.plan_cache_capacity_bytes),
@@ -164,8 +163,8 @@ class Tracer {
     }
   }
 
-  void shard(const MatrixItem& it, const simt::KernelRun& priced,
-             const core::DenseOperandHandle& rhs, int root, std::uint64_t id);
+  void shard(const MatrixItem& it, const core::DenseOperandHandle& rhs,
+             int root, std::uint64_t id);
   void census(const core::SpmmPlan* plan, const simt::KernelRun& run);
   /// Runs the request through serve_request / serve_graph_request and
   /// through the lone pool; returns {direct, pooled}.
@@ -173,7 +172,6 @@ class Tracer {
       const serve::Request& req, int root, std::uint64_t id,
       double span_sum_us);
 
-  const serve::DevicePoolConfig cfg_;
   Recorder rec_;
   serve::OperandCache ops_, plans_;                // the span path
   serve::OperandCache direct_ops_, direct_plans_;  // serve.direct
@@ -236,9 +234,8 @@ void Tracer::matrix(const MatrixItem& it, std::uint64_t id) {
   const std::string tag = pair_tag(r.precision);
   requests += 1;
   const int root = rec_.begin("request", -1, id);
-  const simt::KernelRun priced = timed("serve.engine.price", root, id, [&] {
-    return serve::price_request(r, plans_);
-  });
+  timed("serve.engine.price", root, id,
+        [&] { return serve::price_request(r, plans_); });
 
   // A cache call is a core.prep / core.plan span on a miss and a
   // serve.cache span on a hit.
@@ -282,7 +279,7 @@ void Tracer::matrix(const MatrixItem& it, std::uint64_t id) {
     match = res.c == *it.ref_spmm;
     census(plan.get(), res.run);
     useful = core::spmm_useful_ops(*r.pattern, n);
-    if (it.shard_sized) shard(it, priced, rhs, root, id);
+    if (it.shards > 1) shard(it, rhs, root, id);
   } else {
     core::SddmmConfig cfg;
     cfg.precision = r.precision;
@@ -319,24 +316,16 @@ void Tracer::matrix(const MatrixItem& it, std::uint64_t id) {
   rec_.end(root);
 }
 
-void Tracer::shard(const MatrixItem& it, const simt::KernelRun& priced,
-                   const core::DenseOperandHandle& rhs, int root,
-                   std::uint64_t id) {
-  // The pool's split: up to one slice per device, no more than the price
-  // over the threshold asks for, never below one modeled wave per slice.
+void Tracer::shard(const MatrixItem& it, const core::DenseOperandHandle& rhs,
+                   int root, std::uint64_t id) {
+  // The split the layer-mix pool makes (MatrixItem::shards), also when the
+  // request runs as a probe on another workload.
   const serve::Request& r = it.req;
   core::SpmmConfig cfg;
   cfg.precision = r.precision;
   cfg.variant = r.variant;
   cfg.bsn = r.bsn;
   const std::size_t n = r.rhs_values->cols();
-  const double est = simt::estimate_seconds(simt::a100(), priced);
-  const std::size_t by_cost = static_cast<std::size_t>(
-      std::ceil(est / cfg_.shard_threshold_seconds));
-  const std::size_t by_wave = static_cast<std::size_t>(std::max<std::uint64_t>(
-      1, priced.launch.grid_blocks /
-             static_cast<std::uint64_t>(simt::a100().sm_count)));
-  const std::size_t want = std::min({cfg_.device_count, by_cost, by_wave});
 
   std::vector<serve::RowSlice> slices;
   std::vector<std::shared_ptr<const sparse::BlockPattern>> patterns;
@@ -344,7 +333,7 @@ void Tracer::shard(const MatrixItem& it, const simt::KernelRun& priced,
   const std::uint64_t fp = shard_plans_.pattern_identity(r.pattern);
   timed("serve.shard.plan", root, id, [&] {
     slices = serve::plan_row_shards(*r.pattern, core::stride_for(r.precision),
-                                    want);
+                                    it.shards);
     for (const serve::RowSlice& s : slices) {
       patterns.push_back(std::make_shared<const sparse::BlockPattern>(
           sparse::slice_vector_rows(*r.pattern, s.vr_begin, s.vr_end)));
@@ -390,12 +379,18 @@ void Tracer::graph(const Workload& src, const Feed& feed, std::size_t step,
 
   timed("serve.engine.price", root, id,
         [&] { return serve::price_graph_request(*g, plans_); });
+  // The Q/K/V quantization as attention_stage_sddmm does it: choose_symmetric,
+  // then quantize_value per element into int32. The stage has no entry point
+  // of its own for it, so this span times the same work outside the stage
+  // and transformer.sddmm still includes it.
   timed("quant.qkv", root, id, [&] {
     for (const Matrix<float>* m : {q.get(), k.get(), v.get()}) {
       const quant::QuantParams p =
           quant::choose_symmetric(m->data(), m->size(), qkv_scalar(g->scheme));
-      const PackedBuffer packed = quant::quantize(*m, p);
-      (void)packed;
+      Matrix<std::int32_t> qi(m->rows(), m->cols());
+      for (std::size_t i = 0; i < m->size(); ++i) {
+        qi.data()[i] = quant::quantize_value(m->data()[i], p);
+      }
     }
   });
 
@@ -572,7 +567,7 @@ void run_traced_pass(const Workload& w, std::uint64_t seed, double seconds,
                      std::uint64_t* mismatches) {
   Tracer t(w);
   const Clock::time_point t0 = Clock::now();
-  const double budget = 0.3 * seconds;
+  const double budget = 0.2 * seconds;
   std::uint64_t id = 1;
   auto spent = [&] { return seconds_between(t0, Clock::now()); };
   if (!w.sessions()) {

@@ -106,12 +106,37 @@ void compute_reference(MatrixItem& it, Workload& w) {
   }
 }
 
-double priced_seconds(const serve::Request& r) {
-  core::SpmmConfig cfg;
-  cfg.precision = r.precision;
-  return simt::estimate_seconds(
-      simt::a100(),
-      core::spmm_estimate(*r.pattern, r.rhs_values->cols(), cfg));
+/// How DevicePool prices a request and splits it: the modeled seconds on the
+/// pool's reference spec (serve::price_request, the pool's own pricing) and
+/// the row slices its shard decision asks for on a homogeneous pool.
+struct PoolPricing {
+  double seconds = 0.0;
+  std::size_t slices = 1;  // 1 = placed whole
+};
+
+PoolPricing pool_pricing(const serve::Request& r,
+                         const serve::DevicePoolConfig& pool) {
+  serve::OperandCache no_plans(0);
+  const simt::KernelRun run = serve::price_request(r, no_plans);
+  PoolPricing p;
+  p.seconds = simt::estimate_seconds(pool.device, run);
+  if (pool.shard_threshold_seconds <= 0 ||
+      p.seconds <= pool.shard_threshold_seconds) {
+    return p;
+  }
+  const std::uint64_t wave =
+      pool.wave_floor_blocks != 0
+          ? pool.wave_floor_blocks
+          : static_cast<std::uint64_t>(pool.device.sm_count);
+  const std::size_t by_wave = static_cast<std::size_t>(
+      std::max<std::uint64_t>(1, run.launch.grid_blocks / wave));
+  const std::size_t by_cost = static_cast<std::size_t>(
+      std::ceil(p.seconds / pool.shard_threshold_seconds));
+  const std::size_t devices =
+      pool.max_shards == 0 ? pool.device_count
+                           : std::min(pool.max_shards, pool.device_count);
+  p.slices = std::min({devices, by_cost, by_wave});
+  return p;
 }
 
 void shuffle(std::vector<std::uint32_t>& v, std::size_t from, Rng& rng) {
@@ -164,7 +189,7 @@ Workload layer_mix(std::uint64_t seed, const Params& p) {
        ++li) {
     for (std::size_t pi = 0; pi < std::size(kSddmmPairs); ++pi) {
       auto pat = dlmc_pattern(shapes[li].first, shapes[li].second,
-                              ladder[(li + pi + 1) % 4], pi % 2, seed);
+                              ladder[(li + pi + 3) % 4], pi % 2, seed);
       MatrixItem it = sddmm_item(std::move(pat), kSddmmPairs[pi], kHeadDim,
                                  rng);
       it.req.lhs_id = client++;
@@ -174,9 +199,14 @@ Workload layer_mix(std::uint64_t seed, const Params& p) {
   }
   const std::size_t regular = w.items.size();
   for (const MatrixItem& it : w.items) {
-    if (it.req.op == serve::OpKind::spmm &&
-        priced_seconds(it.req) > w.pool.shard_threshold_seconds) {
-      throw Error("perfbench: a regular layer-mix request would shard");
+    const PoolPricing price = pool_pricing(it.req, w.pool);
+    if (price.slices > 1) {
+      throw Error("perfbench: a regular layer-mix request would shard: " +
+                  std::string(serve::to_string(it.req.op)) + " " +
+                  pair_tag(it.req.precision) + " " +
+                  std::to_string(it.req.pattern->rows) + "x" +
+                  std::to_string(it.req.pattern->cols) + " priced " +
+                  std::to_string(price.seconds * 1e6) + " us");
     }
   }
 
@@ -185,24 +215,31 @@ Workload layer_mix(std::uint64_t seed, const Params& p) {
   const std::size_t shard_kinds = p.probe ? 1 : 2;
   const PrecisionPair shard_pairs[] = {precision::L8R8, precision::L16R8};
   for (std::size_t s = 0; s < shard_kinds; ++s) {
+    const PrecisionPair pr = shard_pairs[s];
     auto pat = dlmc_pattern(512, 512, 0.9, s, mix(seed, 7));
+    MatrixItem it;
+    it.req.op = serve::OpKind::spmm;
+    it.req.precision = pr;
+    it.req.lhs_values = values(pat->rows, pat->cols, pr.lhs, rng);
+    it.req.pattern = pat;
     for (std::size_t n = 256;; n *= 2) {
-      MatrixItem probe;
-      probe.req.op = serve::OpKind::spmm;
-      probe.req.precision = shard_pairs[s];
-      probe.req.pattern = pat;
-      probe.req.rhs_values =
+      it.req.rhs_values =
           std::make_shared<const Matrix<std::int32_t>>(pat->cols, n);
-      if (priced_seconds(probe.req) > 1.2 * w.pool.shard_threshold_seconds ||
-          n >= 8192) {
-        MatrixItem it = spmm_item(pat, shard_pairs[s], n, rng);
-        it.req.lhs_id = client++;
-        it.req.rhs_id = client++;
-        it.shard_sized = true;
-        w.items.push_back(std::move(it));
+      const PoolPricing price = pool_pricing(it.req, w.pool);
+      if (price.seconds > 1.2 * w.pool.shard_threshold_seconds || n >= 8192) {
+        it.shards = price.slices;
         break;
       }
     }
+    if (it.shards <= 1) {
+      throw Error("perfbench: a prefill-sized layer-mix request would not "
+                  "shard");
+    }
+    it.req.rhs_values = values(pat->cols, it.req.rhs_values->cols(), pr.rhs,
+                               rng);
+    it.req.lhs_id = client++;
+    it.req.rhs_id = client++;
+    w.items.push_back(std::move(it));
   }
   for (MatrixItem& it : w.items) compute_reference(it, w);
 
@@ -237,10 +274,12 @@ Workload cold_tenants(std::uint64_t seed, const Params& p) {
   Workload w;
   w.name = "cold_tenants";
   w.pool.device_count = 4;
-  if (p.cache_bytes != 0) w.pool.cache_capacity_bytes = p.cache_bytes;
-  if (p.plan_cache_bytes != 0) {
-    w.pool.plan_cache_capacity_bytes = p.plan_cache_bytes;
-  }
+  // Sized against the 80 tenants below (~8.5 MB of prepared weights and
+  // ~3.4 MB of plans): each device's operand cache and the shared plan
+  // cache hold about a quarter of the working set, so LRU eviction never
+  // stops.
+  w.pool.cache_capacity_bytes = 2u << 20;
+  w.pool.plan_cache_capacity_bytes = 768u << 10;
   Rng rng(mix(seed, 2));
 
   // Scalar DLMC shapes of up to 2^17 elements (dilated: up to 4096 rows).
