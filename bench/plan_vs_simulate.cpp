@@ -7,15 +7,17 @@
 //
 // Bit-exactness and counter equality across all three engines are
 // re-asserted inline on every shape before timing (a bench that measured a
-// wrong kernel would be worse than no bench). The enforced acceptance
-// gates compare against the *recorded baseline* JSON in bench/baselines/
-// (bars rise by re-recording, never by editing code):
+// wrong kernel would be worse than no bench); a mismatch always fails. The
+// acceptance gates compare against the *recorded baseline* JSON in
+// bench/baselines/ (bars rise by re-recording, never by editing code):
 //   * aggregate SpMM panel-vs-simulate speedup >= recorded bar
 //   * aggregate SpMM panel-vs-fragment speedup >= recorded bar (the
 //     micro-kernel must keep beating the engine it replaced)
-// The binary exits nonzero on a miss, so the bench-smoke CTest
-// registration turns a fast-path regression into a red build. Sanitizer
-// builds report without enforcing (distorted timings).
+// The bars are host-speed ratios, so they are only reported by default:
+// the bench-smoke CTest registration runs beside other tests under
+// `ctest -j` and checks invariants only. With --enforce-bars (the CI
+// perf-smoke step) the binary exits nonzero on a miss. Sanitizer builds
+// report without enforcing either way (distorted timings).
 //
 // Like serve_throughput, --smoke is peeled off argv and the rest forwards
 // to google-benchmark (--benchmark_out, ...); CI uploads the JSON so the
@@ -222,7 +224,9 @@ OpTimings time_sddmm(const Shape& shape, PrecisionPair prec,
 
 bool g_smoke = false;
 
-bool comparison_table(bool smoke) {
+/// Prints the comparison and checks the bars; returns false only when
+/// `enforce` is set, the build is unsanitized and a bar is missed.
+bool comparison_table(bool smoke, bool enforce) {
   const Shape shape = shape_for(smoke);
   std::printf("== replay engines: panel vs fragment vs ExecMode::simulate"
               "%s (SIMD micro-kernel: %s) ==\n",
@@ -331,9 +335,11 @@ bool comparison_table(bool smoke) {
                 bars.path.c_str(),
                 MAGICUBE_BENCH_SANITIZED
                     ? " [sanitized build: gates reported, not enforced]"
-                    : "");
+                : enforce ? ""
+                          : " [gates reported, not enforced: pass "
+                            "--enforce-bars]");
   }
-  return gate || MAGICUBE_BENCH_SANITIZED;
+  return gate || !enforce || MAGICUBE_BENCH_SANITIZED;
 }
 
 // google-benchmark cases (JSON-artifact surface), smoke-sized in CI.
@@ -442,12 +448,16 @@ BENCHMARK(BM_SddmmPanelReplay)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   // Forwards unrecognized flags (--benchmark_out, ...) to google-benchmark,
-  // so it peels --smoke off itself instead of using bench::parse_args.
+  // so it peels --smoke and --enforce-bars off itself instead of using
+  // bench::parse_args.
   std::vector<char*> fwd = {argv[0]};
   bool help = false;
+  bool enforce = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       g_smoke = true;
+    } else if (std::strcmp(argv[i], "--enforce-bars") == 0) {
+      enforce = true;
     } else {
       if (std::strcmp(argv[i], "--help") == 0 ||
           std::strcmp(argv[i], "-h") == 0) {
@@ -458,12 +468,15 @@ int main(int argc, char** argv) {
   }
   bool gate_passed = true;
   if (help) {
-    std::printf("usage: %s [--smoke] [--benchmark_* flags]\n"
-                "  --smoke  tiny shapes, a few seconds\n"
+    std::printf("usage: %s [--smoke] [--enforce-bars] [--benchmark_* flags]\n"
+                "  --smoke         tiny shapes, a few seconds\n"
+                "  --enforce-bars  exit 1 when a speedup misses its recorded "
+                "bar\n"
+                "                  (without it the bars are only reported)\n"
                 "  other flags forward to google-benchmark (below)\n\n",
                 argv[0]);
   } else {
-    gate_passed = comparison_table(g_smoke);
+    gate_passed = comparison_table(g_smoke, enforce);
   }
   int bench_argc = static_cast<int>(fwd.size());
   benchmark::Initialize(&bench_argc, fwd.data());

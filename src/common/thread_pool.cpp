@@ -1,5 +1,6 @@
 #include "common/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 
 #include "common/check.hpp"
@@ -13,32 +14,38 @@
 namespace magicube {
 
 namespace {
-// Depth of pool-owned frames on this thread: 1 while running a queued task,
-// incremented again by inline nested parallel_for. Any nonzero depth routes
-// parallel_for to the inline path.
-thread_local int tl_pool_depth = 0;
+// Set once on each pool-owned thread; read by on_worker_thread().
+thread_local bool tl_on_worker = false;
 }  // namespace
 
 struct ThreadPool::Impl {
   std::mutex mutex;
   std::condition_variable work_ready;
   std::deque<std::function<void()>> queue;
+  std::size_t parked = 0;  // workers inside work_ready.wait
   bool stopping = false;
   std::vector<std::thread> threads;
 
+  /// Workers that would pick up a new task right away: parked ones not
+  /// already spoken for by queued tasks. Caller holds `mutex`.
+  std::size_t idle_locked() const {
+    return parked > queue.size() ? parked - queue.size() : 0;
+  }
+
   void worker_loop() {
+    tl_on_worker = true;
     for (;;) {
       std::function<void()> task;
       {
         std::unique_lock<std::mutex> lock(mutex);
+        ++parked;
         work_ready.wait(lock, [&] { return stopping || !queue.empty(); });
+        --parked;
         if (queue.empty()) return;  // stopping && drained
         task = std::move(queue.front());
         queue.pop_front();
       }
-      tl_pool_depth = 1;
       task();
-      tl_pool_depth = 0;
     }
   }
 };
@@ -66,7 +73,7 @@ ThreadPool::~ThreadPool() {
   for (auto& t : impl_->threads) t.join();
 }
 
-bool ThreadPool::on_worker_thread() { return tl_pool_depth > 0; }
+bool ThreadPool::on_worker_thread() { return tl_on_worker; }
 
 void ThreadPool::enqueue(std::function<void()> task) {
   {
@@ -125,22 +132,19 @@ struct ForState {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  // Inline paths: trivial ranges, single-core hosts, and nested calls from a
-  // pool worker (the reentrancy guard — see the header). No depth bump here:
-  // worker_loop already marks pool threads, and a trivial-range call on a
-  // non-pool thread must not masquerade as one (nested calls under it may
-  // still fan out, and on_worker_thread() must stay false).
-  if (n == 1 || workers_ <= 1 || tl_pool_depth > 0) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-
   auto state = std::make_shared<ForState>(n, fn);
-  const std::size_t helpers = (workers_ < n ? workers_ : n) - 1;
-  for (std::size_t t = 0; t < helpers; ++t) {
-    enqueue([state] { state->drain(); });
+  // Count the idle workers and enqueue their helpers in one critical
+  // section, so concurrent callers never recruit the same worker twice.
+  std::size_t helpers = 0;
+  {
+    std::lock_guard<std::mutex> lock(impl_->mutex);
+    helpers = std::min(n - 1, impl_->idle_locked());
+    for (std::size_t t = 0; t < helpers; ++t) {
+      impl_->queue.push_back([state] { state->drain(); });
+    }
   }
-  state->drain();  // the caller participates
+  for (std::size_t t = 0; t < helpers; ++t) impl_->work_ready.notify_one();
+  state->drain();  // the caller claims every index nobody else has
 
   std::unique_lock<std::mutex> lock(state->mutex);
   state->done.wait(lock, [&] {

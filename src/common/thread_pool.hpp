@@ -10,15 +10,23 @@
 // disjoint output tiles and their private counters, which are reduced in
 // block order, so results and counters are independent of scheduling.
 //
-// Reentrancy: parallel_for called from a pool worker (a kernel running
-// inside a submitted serving task) executes its range INLINE on the calling
-// thread instead of fanning out again. Workers never block waiting for
-// queued work that other busy workers would have to run, so
-// scheduler-inside-kernel deadlocks are impossible by construction; nested
-// calls trade inner-loop parallelism for the request-level parallelism the
-// outer submit already provides. Blocking on a future from inside a pool
-// task is NOT safe for the same reason inline execution is required — keep
-// future waits on non-pool threads.
+// Fan-out rule: every parallel_for, whether called from a plain thread or
+// from a pool worker (a kernel running inside a submitted serving task),
+// enqueues min(n - 1, idle) helper drains and then drains the range in the
+// caller. `idle` is the number of workers parked waiting for work minus the
+// tasks already queued, read under the pool mutex, so a grid recruits only
+// cores nobody else is using: with every worker busy it is 0 and the range
+// runs inline on the caller, and closed-loop work is conserved.
+//
+// Why this cannot deadlock, nested or not: indices are claimed from a
+// shared counter, and the caller itself claims and runs every index no one
+// else has claimed. It then waits only for indices already claimed by
+// threads that are running them, and those finish by the same argument
+// applied to any parallel_for they nest. A helper that is still queued
+// holds no index, so nothing waits on it; when it finally runs after the
+// range is exhausted it returns at once. Blocking on a future from inside a
+// pool task is NOT covered by this argument — keep future waits on non-pool
+// threads.
 
 #include <cstddef>
 #include <functional>
@@ -35,10 +43,9 @@ class ThreadPool {
   static ThreadPool& instance();
   ~ThreadPool();
 
-  /// Runs fn(i) for i in [0, n), distributing chunks over the pool; the
-  /// calling thread participates. Exceptions from fn propagate (first one
-  /// wins) after all claimed indices finish. Nested calls (from a pool
-  /// worker) run inline sequentially — see the reentrancy note above.
+  /// Runs fn(i) for i in [0, n) on the calling thread plus whatever pool
+  /// workers are idle — see the fan-out rule above. Exceptions from fn
+  /// propagate (first one wins) after all claimed indices finish.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Enqueues a task for asynchronous execution and returns a future for
@@ -61,8 +68,7 @@ class ThreadPool {
 
   std::size_t worker_count() const { return workers_; }
 
-  /// True on a thread owned by the pool (used by the reentrancy guard and
-  /// asserted by the regression tests).
+  /// True on a thread owned by the pool (asserted by the regression tests).
   static bool on_worker_thread();
 
   ThreadPool(const ThreadPool&) = delete;

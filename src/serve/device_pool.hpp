@@ -85,7 +85,8 @@
 // Concurrency contract: unchanged — the dispatcher thread never executes
 // kernels, pool tasks never wait on futures (a sharded request's slices
 // rendezvous through an atomic countdown, and the last finisher merges),
-// so the ThreadPool reentrancy guard is the only nesting. Wall-clock
+// so a kernel's parallel_for inside a request task is the only nesting,
+// and the ThreadPool's fan-out rule keeps that deadlock-free. Wall-clock
 // execution shares the host ThreadPool; the per-device state is *modeled*,
 // which is exactly what the scaling bench gates.
 

@@ -11,11 +11,12 @@
 // preparation safely.
 //
 // Concurrency contract: the scheduler thread never runs kernels itself and
-// pool tasks never wait on futures, so the ThreadPool's reentrancy guard
-// (kernels' parallel_for running inline inside a request task) is the only
-// nesting that occurs — deadlock-free by construction. Results are bit-exact
-// with sequential core::spmm / core::sddmm calls: batching changes only when
-// work runs, never what it computes.
+// pool tasks never wait on futures. The only nesting is a kernel's
+// parallel_for inside a request task, which recruits idle pool workers and
+// drains the rest of its grid itself (common/thread_pool.hpp), so it is
+// deadlock-free by construction. Results are bit-exact with sequential
+// core::spmm / core::sddmm calls: batching changes only when work runs,
+// never what it computes.
 
 #include <cstdint>
 #include <chrono>

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <future>
+#include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/half.hpp"
@@ -207,28 +210,85 @@ TEST(ThreadPool, SubmitPropagatesException) {
   EXPECT_THROW(f.get(), Error);
 }
 
-// Regression for the reentrancy guard: a kernel-style parallel_for issued
-// from inside a submitted task must complete (inline) even when every pool
-// worker is occupied by such a task — the scheduler-inside-kernel scenario
-// that would deadlock a naive help-less pool.
+// Regression for nested fan-out: kernel-style parallel_fors issued from
+// inside submitted tasks, two levels deep, must complete even when every
+// pool worker is occupied by such a task — the scheduler-inside-kernel
+// scenario that would deadlock a pool whose callers waited on queued work.
 TEST(ThreadPool, NestedParallelForInsideSubmittedTasksCompletes) {
   auto& pool = ThreadPool::instance();
   const std::size_t tasks = 2 * pool.worker_count() + 1;
+  constexpr std::size_t kOuter = 8, kInner = 100;
   std::vector<std::future<std::size_t>> futures;
   futures.reserve(tasks);
   for (std::size_t t = 0; t < tasks; ++t) {
     futures.push_back(pool.submit([] {
       EXPECT_TRUE(ThreadPool::on_worker_thread());
-      std::atomic<std::size_t> sum{0};
-      parallel_for(100, [&](std::size_t i) {
-        EXPECT_TRUE(ThreadPool::on_worker_thread());
-        sum.fetch_add(i, std::memory_order_relaxed);
+      std::vector<std::atomic<int>> hits(kOuter * kInner);
+      parallel_for(kOuter, [&](std::size_t o) {
+        parallel_for(kInner, [&](std::size_t i) {
+          EXPECT_TRUE(ThreadPool::on_worker_thread());
+          hits[o * kInner + i].fetch_add(1, std::memory_order_relaxed);
+        });
       });
-      return sum.load();
+      std::size_t once = 0;
+      for (const auto& h : hits) once += h.load() == 1 ? 1 : 0;
+      return once;
     }));
   }
-  for (auto& f : futures) EXPECT_EQ(f.get(), 4950u);
+  for (auto& f : futures) EXPECT_EQ(f.get(), kOuter * kInner);
   EXPECT_FALSE(ThreadPool::on_worker_thread());
+}
+
+// A parallel_for from inside a submitted task spreads over idle workers:
+// 32 indices at 1 ms each give helpers time to claim work. Retries a few
+// times in case a worker had not parked yet when the grid was issued.
+TEST(ThreadPool, NestedParallelForRecruitsIdleWorkers) {
+  if (ThreadPool::instance().worker_count() == 1) {
+    GTEST_SKIP() << "a one-worker pool has no idle worker to recruit";
+  }
+  std::size_t threads = 0;
+  for (int attempt = 0; attempt < 5 && threads < 2; ++attempt) {
+    auto f = ThreadPool::instance().submit([] {
+      std::mutex mutex;
+      std::set<std::thread::id> ids;
+      parallel_for(32, [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        std::lock_guard<std::mutex> lock(mutex);
+        ids.insert(std::this_thread::get_id());
+      });
+      return ids.size();
+    });
+    threads = f.get();
+  }
+  EXPECT_GE(threads, 2u);
+}
+
+TEST(ThreadPool, ExceptionOnHelperIndexReachesWorkerCaller) {
+  auto& pool = ThreadPool::instance();
+  if (pool.worker_count() == 1) {
+    GTEST_SKIP() << "a one-worker pool has no helper to throw on";
+  }
+  bool caught = false;
+  for (int attempt = 0; attempt < 5 && !caught; ++attempt) {
+    auto f = pool.submit([] {
+      const std::thread::id caller = std::this_thread::get_id();
+      std::atomic<bool> thrown{false};
+      try {
+        parallel_for(32, [&](std::size_t) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          if (std::this_thread::get_id() != caller && !thrown.exchange(true)) {
+            throw Error("helper boom");
+          }
+        });
+      } catch (const Error&) {
+        return true;
+      }
+      EXPECT_FALSE(thrown.load()) << "a helper's exception was swallowed";
+      return false;
+    });
+    caught = f.get();
+  }
+  EXPECT_TRUE(caught);
 }
 
 TEST(ThreadPool, TrivialRangeOnNonPoolThreadDoesNotClaimWorkerStatus) {
