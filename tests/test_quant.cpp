@@ -34,14 +34,22 @@ TEST(Quantizer, PaperExampleUnsignedSplit) {
 }
 
 struct DecomposeCase {
+  constexpr DecomposeCase(Scalar s, int bits) : source(s), chunk_bits(bits) {}
+
   Scalar source;
+  // gtest prints the param's raw bytes into each test's name, so the padding
+  // after `source` is spelled out and zeroed: left implicit, it carries
+  // whatever the stack held and the names change from build to build.
+  std::uint8_t zeroed_padding[3] = {};
   int chunk_bits;
 };
+static_assert(sizeof(DecomposeCase) == 8, "DecomposeCase must have no implicit padding");
 
 class DecomposeTest : public ::testing::TestWithParam<DecomposeCase> {};
 
 TEST_P(DecomposeTest, RecomposesEveryValue) {
-  const auto [source, chunk_bits] = GetParam();
+  const Scalar source = GetParam().source;
+  const int chunk_bits = GetParam().chunk_bits;
   const int n = plane_count(source, chunk_bits);
   std::int32_t chunks[8];
   for (std::int32_t v = min_value(source); v <= max_value(source); ++v) {
