@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "support/json.hpp"
+
 namespace magicube::bench {
 
 /// Command-line options shared by every bench binary. `--smoke` shrinks the
@@ -119,36 +121,24 @@ inline std::string fmt(double v, int prec = 2) {
   return buf;
 }
 
-/// Recorded-baseline bar sheet: a flat {"key": number} lookup over a
-/// hand-recorded JSON file in bench/baselines/ (string scan, no JSON
-/// dependency — the file is a bar sheet, not machine output). Shared by
-/// every bench that gates against recorded bars; bars rise by
-/// re-recording, never by editing a gate.
+/// Recorded-baseline bar sheet: a flat {"key": number} JSON object in
+/// bench/baselines/, read with the tests' JSON parser. Shared by every bench
+/// that gates against recorded bars; bars rise by re-recording, never by
+/// editing a gate.
 struct Baselines {
-  bool loaded = false;
+  bool loaded = false;  // the file was read and parsed as a JSON object
   std::string path;
-  std::string text;
+  testjson::Value doc;
 
-  /// Reads key's number; clears *ok on a missing key or malformed value
+  /// Reads key's number; clears *ok on a missing key or non-number value
   /// (the caller fails its gate cleanly instead of throwing).
   double get(const std::string& key, bool* ok) const {
-    const std::string needle = "\"" + key + "\"";
-    const std::size_t at = text.find(needle);
-    if (at == std::string::npos) {
+    const testjson::Value* v = doc.find(key);
+    if (v == nullptr || v->kind != testjson::Value::Kind::number) {
       *ok = false;
       return 0;
     }
-    const std::size_t colon = text.find(':', at + needle.size());
-    if (colon == std::string::npos) {
-      *ok = false;
-      return 0;
-    }
-    try {
-      return std::stod(text.substr(colon + 1));
-    } catch (const std::exception&) {
-      *ok = false;
-      return 0;
-    }
+    return v->num;
   }
 };
 
@@ -157,12 +147,15 @@ inline Baselines load_baselines(const std::string& dir,
   Baselines b;
   b.path = dir + "/" + file;
   std::ifstream in(b.path);
-  if (in) {
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    b.text = ss.str();
-    b.loaded = true;
+  if (!in) return b;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  try {
+    b.doc = testjson::parse(ss.str());
+  } catch (const std::runtime_error&) {
+    return b;
   }
+  b.loaded = b.doc.is_object();
   return b;
 }
 

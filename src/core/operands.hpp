@@ -83,9 +83,9 @@ struct DenseOperand {
 
 /// Immutable shared handles over prepared operands. Preparation (quantize →
 /// SR-BCRS encode → shuffle → plane decomposition) is the expensive step the
-/// serving engine amortizes: once built, an operand is never mutated, so the
-/// operand cache and the batch scheduler alias one prepared copy across
-/// concurrent kernel executions safely.
+/// serving engine amortizes: once built, an operand is never mutated, so
+/// concurrent kernel executions served from the operand cache alias one
+/// prepared copy safely.
 using SparseOperandHandle = std::shared_ptr<const SparseOperand>;
 using DenseOperandHandle = std::shared_ptr<const DenseOperand>;
 

@@ -461,6 +461,13 @@ SddmmResult run_simulate(const DenseOperand& a, const DenseOperand& b,
       launch, [&](simt::BlockContext& ctx) { run_block(ctx, args); });
 
   result.run.pipeline.total_steps = map.row.size() * g.steps;
+  // Bucket census as build_sddmm_plan records it, so a simulated run
+  // prices exactly like its replay.
+  for (const std::uint32_t valid : map.valid) {
+    const SddmmKernelId id = detail::classify_sddmm_block(g, valid);
+    result.run.counters.sddmm_bucket_blocks[static_cast<std::size_t>(id)] +=
+        1;
+  }
   // LHS prefetching never hides the RHS register-load chain (see header).
   result.run.pipeline.prefetch = false;
   result.run.counters.dram_bytes = detail::sddmm_dram_bytes(g, pattern);

@@ -818,11 +818,17 @@ SpmmResult run_simulate(const SparseOperand& a, const DenseOperand& b,
   result.run = simt::run_grid(
       launch, [&](simt::BlockContext& ctx) { run_block(ctx, args); });
 
-  // Pipeline shape + compulsory DRAM traffic.
+  // Pipeline shape, bucket census (the one build_spmm_plan records, so a
+  // simulated run prices exactly like its replay) + compulsory DRAM
+  // traffic.
   std::uint64_t total_steps = 0, valid_vectors = 0;
   for (std::size_t r = 0; r < sr.vector_rows(); ++r) {
-    total_steps += sr.strides_in_row(r);
+    const std::uint64_t steps = sr.strides_in_row(r);
+    total_steps += steps;
     valid_vectors += sr.valid_vectors_in_row(r);
+    const PanelKernelId id = detail::classify_spmm_row(g, steps);
+    result.run.counters.spmm_bucket_blocks[static_cast<std::size_t>(id)] +=
+        g.col_blocks;
   }
   result.run.pipeline.total_steps = total_steps * g.col_blocks;
   result.run.pipeline.prefetch = g.prefetch;

@@ -19,8 +19,8 @@
 #include "core/plan.hpp"
 #include "core/sddmm.hpp"
 #include "core/spmm.hpp"
+#include "serve/execute.hpp"
 #include "serve/graph.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/session.hpp"
 #include "serve/shard.hpp"
 #include "serve/submit_queue.hpp"
@@ -61,11 +61,11 @@ std::uint64_t affinity_key(const Request& req, std::uint64_t pattern_fp) {
 
 }  // namespace
 
-// The submit/backpressure/shutdown half lives in detail::SubmitQueueCore
-// (shared with BatchScheduler); this Impl is the placement half: pricing,
-// device choice, sharding, fault injection, retry and tracing. Its mutex
-// guards the fleet state (stats, specs, active flags, caches, fault
-// counters) and is never held across a core call or a kernel execution.
+// The submit/backpressure/shutdown half lives in detail::SubmitQueueCore;
+// this Impl is the placement half: pricing, device choice, sharding, fault
+// injection, retry and tracing. Its mutex guards the fleet state (stats,
+// specs, active flags, caches, fault counters) and is never held across a
+// core call or a kernel execution.
 struct DevicePool::Impl {
   DevicePool* owner = nullptr;
   detail::SubmitQueueCore core;
@@ -111,7 +111,7 @@ struct DevicePool::Impl {
 
   explicit Impl(const DevicePoolConfig& cfg)
       : fault_rng(cfg.fault_plan.seed),
-        traces("device_pool", cfg.trace_capacity) {}
+        traces(detail::kEngineId, cfg.trace_capacity) {}
 
   /// One committed device assignment: where, its per-spec estimate, and
   /// the device's modeled backlog at commit time (the request-relative
@@ -817,8 +817,7 @@ struct DevicePool::Impl {
     // and execution is not masked). Per-device pricing happens at device
     // choice; the shard decision uses the reference spec so thresholds
     // keep one meaning across fleet compositions. The pricing body is
-    // serve/sla.hpp's price_request — the same path the BatchScheduler's
-    // modeled batch sizing uses.
+    // serve/sla.hpp's price_request.
     const simt::KernelRun run = price_request(req, owner->plan_cache_);
     const std::uint64_t pattern_fp =
         owner->plan_cache_.pattern_identity(req.pattern);
@@ -1695,8 +1694,6 @@ DevicePool::DevicePool(DevicePoolConfig cfg)
   }
   impl_->stats.devices.resize(n);
   detail::SubmitQueueCore::Tuning tuning;
-  tuning.label = "DevicePool";
-  tuning.engine_id = "device_pool";
   tuning.linger = cfg_.linger;
   tuning.max_queue_depth = cfg_.max_queue_depth;
   tuning.collect_traces = cfg_.collect_traces;

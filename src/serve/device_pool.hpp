@@ -1,10 +1,10 @@
 #pragma once
-// Elastic heterogeneous multi-device serving engine: one scheduler over N
+// Elastic heterogeneous multi-device serving engine: one dispatcher over N
 // simulated devices, with cost-model-driven placement, fault recovery and
 // per-request tracing.
 //
-// A DevicePool runs the BatchScheduler's submit/future contract (the shared
-// detail::SubmitQueueCore front half) over a fleet of simulated DeviceSpec
+// A DevicePool runs a submit/future contract (the detail::SubmitQueueCore
+// front half, serve/submit_queue.hpp) over a fleet of simulated DeviceSpec
 // workers. Each worker owns a modeled clock (the cost model's accumulated
 // busy seconds — the device analogue of queue depth) and its own
 // OperandCache byte budget; a shared plan cache holds the pattern-only
@@ -133,8 +133,8 @@ struct DevicePoolConfig {
   /// active sm_count (one block per SM). Tests lower it to shard tiny
   /// problems.
   std::size_t wave_floor_blocks = 0;
-  /// How long the dispatcher lingers for a forming batch (see
-  /// BatchSchedulerConfig::linger).
+  /// How long the dispatcher lingers so a burst coalesces into one
+  /// dispatch round. Zero dispatches immediately.
   std::chrono::microseconds linger{200};
   /// Bounded submit queue; submit() blocks at the bound (0 = unbounded).
   std::size_t max_queue_depth = 0;
@@ -291,10 +291,11 @@ class DevicePool {
   /// Drains: every submitted request completes before destruction returns.
   ~DevicePool();
 
-  /// Enqueues a request; same contract as BatchScheduler::submit (the
-  /// future carries the Response or the failure, blocks at
-  /// max_queue_depth, throws after shutdown began). Response.device /
-  /// Response.shards / Response.retries report the placement.
+  /// Enqueues a request. The future carries the Response (or the
+  /// exception the request failed with); submit blocks while the queue
+  /// sits at max_queue_depth and throws Error after shutdown began.
+  /// Response.device / Response.shards / Response.retries report the
+  /// placement.
   std::future<Response> submit(Request req);
 
   /// Blocks until every request submitted so far has completed.

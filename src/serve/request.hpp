@@ -54,17 +54,15 @@ struct Request {
 
   /// Dispatch priority (higher first). The DevicePool dispatcher orders
   /// each collected queue drain by priority before placing; equal
-  /// priorities keep arrival order. The single-device BatchScheduler
-  /// ignores it (FIFO within compatibility groups).
+  /// priorities keep arrival order.
   int priority = 0;
 
   /// SLA deadline in *modeled* seconds from admission (the cost-model
   /// clock placement reasons about — never wall time). 0 = no deadline.
-  /// Under a DevicePool, equal priorities dispatch earliest-deadline-first
-  /// and a request whose modeled completion (best-candidate backlog +
-  /// per-spec estimate) already exceeds its deadline is shed with a clean
-  /// ShedError (serve/sla.hpp) instead of being served late or silently
-  /// dropped. The BatchScheduler ignores it (no modeled device clock).
+  /// Equal priorities dispatch earliest-deadline-first, and a request
+  /// whose modeled completion (best-candidate backlog + per-spec estimate)
+  /// already exceeds its deadline is shed with a clean ShedError
+  /// (serve/sla.hpp) instead of being served late or silently dropped.
   double deadline_seconds = 0.0;
 
   /// Fused attention DAG (serve/graph.hpp). When set, the request is the
@@ -84,8 +82,8 @@ struct Response {
   bool lhs_cache_hit = false;
   bool rhs_cache_hit = false;
   bool plan_cache_hit = false;  // execution plan served from the cache
-  std::uint64_t batch_id = 0;   // which execution batch served this request
-  std::size_t batch_size = 0;   // how many requests shared that batch
+  std::uint64_t batch_id = 0;   // the dispatch round that placed this request
+  std::size_t batch_size = 0;   // how many requests that round collected
   /// Cost-model estimate of the kernel run on the device that served it
   /// (the placed device's spec under the DevicePool; simt::a100()
   /// otherwise). For a sharded request: the modeled makespan of the

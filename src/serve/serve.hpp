@@ -4,7 +4,9 @@
 // Minimal usage (see examples/serving.cpp):
 //
 //   using namespace magicube;
-//   serve::BatchScheduler engine;                 // cache + scheduler
+//   serve::DevicePoolConfig cfg;
+//   cfg.device_count = 1;                         // one simulated device
+//   serve::DevicePool engine(cfg);
 //   serve::Request req;
 //   req.op = serve::OpKind::spmm;
 //   req.precision = precision::L8R8;
@@ -13,14 +15,18 @@
 //   req.rhs_values = std::make_shared<const Matrix<std::int32_t>>(acts);
 //   auto future = engine.submit(std::move(req));
 //   const serve::Response resp = future.get();    // bit-exact SpmmResult
-//   // engine.cache().stats().hit_rate() amortization telemetry
+//   // engine.device_cache(0).stats() / engine.plan_cache().stats() report
+//   // operand and plan amortization
+//
+// serve_request(req, cache) (serve/execute.hpp) runs one request
+// synchronously against a cache, without an engine.
 
 // Multi-device usage (see the "Elastic fleet & tracing" README section):
 //
 //   serve::DevicePoolConfig pool_cfg;
 //   pool_cfg.devices = {simt::a100(), simt::a100(), simt::edge()};
 //   pool_cfg.fault_plan.probability = 0.05;       // seeded fault injection
-//   serve::DevicePool pool(pool_cfg);             // same submit/future API
+//   serve::DevicePool pool(pool_cfg);
 //   const std::size_t d = pool.add_device(simt::edge());  // join mid-traffic
 //   auto resp = pool.submit(std::move(req)).get();
 //   pool.drain_device(d);                         // leave mid-traffic
@@ -56,11 +62,11 @@
 //   auto step = s.step(q_rows, k_rows, v_rows);   // session budget is full
 //
 #include "serve/device_pool.hpp"
+#include "serve/execute.hpp"
 #include "serve/fault.hpp"
 #include "serve/graph.hpp"
 #include "serve/operand_cache.hpp"
 #include "serve/request.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/session.hpp"
 #include "serve/shard.hpp"
 #include "serve/sla.hpp"

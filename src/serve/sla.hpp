@@ -29,9 +29,8 @@
 //     serve/device_pool.cpp; this is its policy surface, beside the other
 //     SLA knobs because both reason on the same modeled-price signal.
 //
-// Both engines consume this layer: DevicePool::warmup / the deadline-aware
-// dispatcher (serve/device_pool.hpp) and BatchScheduler::warmup / the
-// modeled-work batch sizing (serve/scheduler.hpp).
+// DevicePool consumes this layer: DevicePool::warmup and the deadline-aware
+// dispatcher (serve/device_pool.hpp).
 
 #include <cstddef>
 #include <memory>
@@ -102,9 +101,8 @@ struct HealingConfig {
 /// Prices a request without executing (or caching) anything: the cached
 /// plan's KernelRun when one is resident in `plans`, the analytic
 /// estimator otherwise — identical numbers either way by the
-/// estimate-equals-execute invariant. Shared by the DevicePool dispatcher
-/// (placement, shedding, shard decisions) and the BatchScheduler's
-/// modeled-work batch sizing.
+/// estimate-equals-execute invariant. The DevicePool dispatcher prices
+/// placement, shedding and shard decisions with it.
 simt::KernelRun price_request(const Request& req, OperandCache& plans);
 
 /// One known-hot layer of a deployment manifest: enough identity to
@@ -121,8 +119,7 @@ struct WarmupEntry {
   int bsn = 64;                                         // SpMM only
   bool sddmm_prefetch = false;                          // SDDMM only
   /// Hot layer: pin the built plan against LRU eviction for the lifetime
-  /// of the warmup scope (the engine's, for DevicePool/BatchScheduler
-  /// warmup()).
+  /// of the warmup scope (the pool's, for DevicePool::warmup()).
   bool pin = false;
 };
 

@@ -1,17 +1,14 @@
 #pragma once
-// Shared submit-queue core of the serving engines.
+// Submit-queue front half of the serving engine (DevicePool).
 //
-// BatchScheduler and DevicePool expose the same front half — a
-// submit/future API feeding one dispatcher thread through a bounded queue
+// A submit/future API feeding one dispatcher thread through a bounded queue
 // with linger-based coalescing, backpressure, drain() and a
-// shutdown-with-inflight-work discipline — and used to implement it twice
-// (the ROADMAP-flagged duplication). SubmitQueueCore is that front half,
-// extracted once: the engines differ only in the Dispatch callback that
-// consumes each collected queue drain (grouping into batches vs pricing
-// and placing onto devices).
+// shutdown-with-inflight-work discipline. The Dispatch callback consumes
+// each collected queue drain (DevicePool prices and places it onto
+// devices).
 //
-// Lifecycle / concurrency contract (identical to what both engines always
-// promised, now asserted for both by tests/test_fleet.cpp's typed suite):
+// Lifecycle / concurrency contract (asserted by tests/test_fleet.cpp's
+// DevicePoolLifecycle suite):
 //   - submit() blocks while the queue sits at max_queue_depth
 //     (backpressure) and throws Error once shutdown began — including for
 //     submitters woken *out of* the backpressure wait by shutdown;
@@ -25,8 +22,8 @@
 //     backpressure-blocked submitters left the wait — the owner may
 //     destroy caches/stats the work references right after;
 //   - tracing: when Tuning::collect_traces is set every admitted request
-//     carries a RequestTrace (serve/trace.hpp) stamped with the engine id
-//     and its admission sequence number; the Dispatch owner fills in the
+//     carries a RequestTrace (serve/trace.hpp) stamped with kEngineId and
+//     its admission sequence number; the Dispatch owner fills in the
 //     spans.
 
 #include <chrono>
@@ -46,6 +43,9 @@
 
 namespace magicube::serve::detail {
 
+/// Engine id stamped on every trace and TraceLog document.
+inline constexpr const char* kEngineId = "device_pool";
+
 /// One admitted request travelling from submit() through Dispatch to its
 /// promise fulfilment.
 struct PendingRequest {
@@ -57,17 +57,10 @@ struct PendingRequest {
 class SubmitQueueCore {
  public:
   struct Tuning {
-    /// Human-facing engine name for error messages ("BatchScheduler").
-    const char* label = "engine";
-    /// Machine-facing engine id stamped on traces ("batch_scheduler").
-    const char* engine_id = "engine";
     /// How long the dispatcher lingers for a forming drain to grow.
     std::chrono::microseconds linger{200};
     /// Bounded queue; submit() blocks at the bound (0 = unbounded).
     std::size_t max_queue_depth = 0;
-    /// Queue size at which the linger cuts short because one dispatch unit
-    /// is already full (BatchScheduler's max_batch; 0 = no such bound).
-    std::size_t batch_fill = 0;
     /// Attach a RequestTrace to every admitted request.
     bool collect_traces = false;
   };
@@ -96,7 +89,7 @@ class SubmitQueueCore {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       MAGICUBE_CHECK_MSG(!stopping_,
-                         "submit on a stopping " << tuning_.label);
+                         "submit on a stopping DevicePool");
       if (tuning_.max_queue_depth > 0) {
         // Backpressure: block until the dispatcher collects the queue (it
         // always takes the whole queue, so space frees in bulk) or
@@ -113,13 +106,13 @@ class SubmitQueueCore {
         blocked_submitters_ -= 1;
         if (blocked_submitters_ == 0) idle_.notify_all();
         MAGICUBE_CHECK_MSG(!stopping_,
-                           "submit on a stopping " << tuning_.label);
+                           "submit on a stopping DevicePool");
       }
       submitted_ += 1;
       if (tuning_.collect_traces) {
         p.trace = std::make_shared<RequestTrace>();
         p.trace->request_id = submitted_;
-        p.trace->engine = tuning_.engine_id;
+        p.trace->engine = kEngineId;
       }
       queue_.push_back(std::move(p));
       outstanding_ += 1;
@@ -196,16 +189,13 @@ class SubmitQueueCore {
         std::unique_lock<std::mutex> lock(mutex_);
         queue_changed_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
         if (queue_.empty()) return;  // stopping && drained
-        const std::size_t fill = tuning_.batch_fill;
-        if (!stopping_ && tuning_.linger.count() > 0 &&
-            (fill == 0 || queue_.size() < fill)) {
-          // Linger so bursts coalesce into one dispatch unit. A full
+        if (!stopping_ && tuning_.linger.count() > 0) {
+          // Linger so bursts coalesce into one dispatch round. A full
           // bounded queue (submitters are blocked on space — waiting
-          // longer cannot grow the drain) or a full batch cuts it short.
+          // longer cannot grow the drain) cuts it short.
           const std::size_t depth = tuning_.max_queue_depth;
           queue_changed_.wait_for(lock, tuning_.linger, [&] {
-            return stopping_ || (fill > 0 && queue_.size() >= fill) ||
-                   (depth > 0 && queue_.size() >= depth);
+            return stopping_ || (depth > 0 && queue_.size() >= depth);
           });
         }
         taken.swap(queue_);

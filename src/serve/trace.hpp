@@ -1,7 +1,7 @@
 #pragma once
-// Structured per-request tracing for the serving engines.
+// Structured per-request tracing for the serving engine.
 //
-// Every request served through BatchScheduler or DevicePool carries a
+// Every request served through a DevicePool carries a
 // RequestTrace: a flat list of named spans over the request's *modeled*
 // timeline (t = 0 is the placement round that admitted the request;
 // timestamps are cost-model seconds, the same clock the placement and the
@@ -74,7 +74,7 @@ struct TraceSpan {
 /// quiescent and read freely through Response::trace or TraceLog.
 struct RequestTrace {
   std::uint64_t request_id = 0;  // per-engine admission sequence number
-  std::string engine;            // "batch_scheduler" | "device_pool"
+  std::string engine;            // "device_pool"
   std::string op;                // "spmm" | "sddmm"
   std::string precision;         // e.g. "L8R8"
   bool ok = false;

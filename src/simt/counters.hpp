@@ -48,13 +48,10 @@ struct KernelCounters {
   std::uint64_t fp32_ops = 0;
   std::uint64_t syncthreads = 0;
 
-  // Replay-kernel bucket dispatch: blocks executed per specialized panel
-  // micro-kernel, recorded analytically by the plan builders (and mirrored
-  // by the estimators so pricing stays plan/estimate-exact). The simulated
-  // reference kernel has no replay dispatch, so these are *excluded* from
-  // operator== — the estimate-equals-execute invariant compares hardware
-  // events only — but participate in += / *= and in the cost model's
-  // dispatch term.
+  // Replay-kernel bucket dispatch: blocks per specialized panel
+  // micro-kernel, recorded analytically by the plan builders and stamped
+  // identically by the estimators and the simulated kernels, so every path
+  // prices the same dispatch term and operator== compares the census too.
   std::array<std::uint64_t, kSpmmBucketKinds> spmm_bucket_blocks{};
   std::array<std::uint64_t, kSddmmBucketKinds> sddmm_bucket_blocks{};
 
@@ -116,24 +113,8 @@ struct KernelCounters {
     return *this;
   }
 
-  /// Hardware-event equality only: the bucket dispatch counters are replay
-  /// metadata the simulated kernel cannot produce, so they stay outside the
-  /// estimate-equals-execute comparison.
-  friend bool operator==(const KernelCounters& a, const KernelCounters& b) {
-    return a.mma_int8 == b.mma_int8 && a.mma_int4 == b.mma_int4 &&
-           a.mma_fp16 == b.mma_fp16 &&
-           a.smem_load_requests == b.smem_load_requests &&
-           a.smem_load_transactions == b.smem_load_transactions &&
-           a.smem_store_requests == b.smem_store_requests &&
-           a.smem_store_transactions == b.smem_store_transactions &&
-           a.gmem_load_requests == b.gmem_load_requests &&
-           a.gmem_load_sectors == b.gmem_load_sectors &&
-           a.gmem_store_requests == b.gmem_store_requests &&
-           a.gmem_store_sectors == b.gmem_store_sectors &&
-           a.dram_bytes == b.dram_bytes && a.alu_ops == b.alu_ops &&
-           a.shfl_ops == b.shfl_ops && a.fp32_ops == b.fp32_ops &&
-           a.syncthreads == b.syncthreads;
-  }
+  friend bool operator==(const KernelCounters&,
+                         const KernelCounters&) = default;
 
   std::uint64_t smem_transactions() const {
     return smem_load_transactions + smem_store_transactions;

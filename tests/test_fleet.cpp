@@ -3,11 +3,10 @@
 // beside simt::edge() parts), add_device/drain_device mid-traffic,
 // deterministic fault injection with bounded-retry recovery (results stay
 // bit-exact vs the sequential reference under seeded fault rates up to
-// 30%), retry-budget exhaustion surfacing clean errors, and the typed
-// shared-core regressions — BatchScheduler and DevicePool run the same
-// detail::SubmitQueueCore, so bounded-queue backpressure, shutdown with
-// in-flight work and double-shutdown safety are asserted against both
-// engines from one suite.
+// 30%), retry-budget exhaustion surfacing clean errors, and the
+// submit-queue lifecycle regressions (detail::SubmitQueueCore through the
+// pool): bounded-queue backpressure, shutdown with in-flight work and
+// double-shutdown safety.
 
 #include <gtest/gtest.h>
 
@@ -367,17 +366,21 @@ TEST(FleetElastic, DrainRacingSameSpecReplacementLosesNoTicket) {
     futures.push_back(pool.submit(to_request(p)));
   }
   churn.join();
+  // The racing submits may all place before the replacement joins (a slow
+  // churn thread, e.g. under ExecMode::simulate); one more request after
+  // the join must land on it, the device with the least modeled backlog.
+  futures.push_back(pool.submit(to_request(p)));
   for (auto& f : futures) expect_same_result(f.get(), want, "churn race");
   pool.drain();
 
   const DevicePoolStats ps = pool.stats();
-  EXPECT_EQ(ps.submitted, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(ps.submitted, static_cast<std::uint64_t>(kRequests) + 1);
   EXPECT_EQ(ps.completed, ps.submitted);  // no ticket lost
   EXPECT_EQ(ps.failed, 0u);
   ASSERT_EQ(ps.devices.size(), 3u);
   EXPECT_EQ(ps.devices[0].placed + ps.devices[1].placed +
                 ps.devices[2].placed,
-            static_cast<std::uint64_t>(kRequests));
+            ps.submitted);
   EXPECT_FALSE(pool.device_active(0));
   EXPECT_TRUE(pool.device_active(2));
   EXPECT_GT(ps.devices[2].placed, 0u);  // the replacement absorbed traffic
@@ -507,28 +510,14 @@ INSTANTIATE_TEST_SUITE_P(FleetSizes, FleetPropertyTest,
                            return "N" + std::to_string(info.param);
                          });
 
-// ---- Shared submit-queue core: one contract, both engines ------------------
+// ---- Submit-queue lifecycle -----------------------------------------------
 //
-// BatchScheduler and DevicePool both run detail::SubmitQueueCore; these
-// typed tests pin the shared contract — bounded-queue backpressure that
-// completes everything, shutdown that waits out in-flight work, idempotent
-// (and concurrent) shutdown, and submit-after-shutdown failing cleanly —
-// against BOTH engines so a core regression cannot hide behind whichever
-// engine the other suites happen to exercise.
+// The pool's detail::SubmitQueueCore contract: bounded-queue backpressure
+// that completes everything, shutdown that waits out in-flight work,
+// idempotent (and concurrent) shutdown, and submit-after-shutdown failing
+// cleanly.
 
-template <typename Engine>
-std::unique_ptr<Engine> make_engine(std::size_t max_queue_depth);
-
-template <>
-std::unique_ptr<BatchScheduler> make_engine(std::size_t max_queue_depth) {
-  BatchSchedulerConfig cfg;
-  cfg.max_queue_depth = max_queue_depth;
-  cfg.linger = std::chrono::microseconds(50);
-  return std::make_unique<BatchScheduler>(cfg);
-}
-
-template <>
-std::unique_ptr<DevicePool> make_engine(std::size_t max_queue_depth) {
+std::unique_ptr<DevicePool> make_pool(std::size_t max_queue_depth) {
   DevicePoolConfig cfg;
   cfg.device_count = 2;
   cfg.shard_threshold_seconds = 0;
@@ -537,39 +526,33 @@ std::unique_ptr<DevicePool> make_engine(std::size_t max_queue_depth) {
   return std::make_unique<DevicePool>(cfg);
 }
 
-template <typename Engine>
-class SharedCoreTest : public ::testing::Test {};
-
-using EngineTypes = ::testing::Types<BatchScheduler, DevicePool>;
-TYPED_TEST_SUITE(SharedCoreTest, EngineTypes);
-
-TYPED_TEST(SharedCoreTest, BoundedQueueBackpressureCompletesEverything) {
-  auto engine = make_engine<TypeParam>(/*max_queue_depth=*/2);
+TEST(DevicePoolLifecycle, BoundedQueueBackpressureCompletesEverything) {
+  auto pool = make_pool(/*max_queue_depth=*/2);
   const Problem p =
       make_spmm_problem(128, 64, 64, 8, 0.6, precision::L8R8, 90);
   const Response want = sequential_reference(p);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 24; ++i) {
-    futures.push_back(engine->submit(to_request(p)));  // blocks at depth 2
+    futures.push_back(pool->submit(to_request(p)));  // blocks at depth 2
   }
   for (auto& f : futures) expect_same_result(f.get(), want, "bounded");
-  engine->drain();
-  const auto stats = engine->stats();
+  pool->drain();
+  const auto stats = pool->stats();
   EXPECT_EQ(stats.submitted, 24u);
   EXPECT_EQ(stats.completed, 24u);
   EXPECT_EQ(stats.failed, 0u);
 }
 
-TYPED_TEST(SharedCoreTest, ShutdownWaitsOutInflightWork) {
-  auto engine = make_engine<TypeParam>(/*max_queue_depth=*/0);
+TEST(DevicePoolLifecycle, ShutdownWaitsOutInflightWork) {
+  auto pool = make_pool(/*max_queue_depth=*/0);
   const Problem p =
       make_spmm_problem(128, 64, 64, 8, 0.6, precision::L8R8, 91);
   const Response want = sequential_reference(p);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 12; ++i) {
-    futures.push_back(engine->submit(to_request(p)));
+    futures.push_back(pool->submit(to_request(p)));
   }
-  engine->shutdown();
+  pool->shutdown();
   // Shutdown drained the queue and waited out every in-flight request:
   // all futures are ready this instant, none abandoned.
   for (auto& f : futures) {
@@ -577,28 +560,28 @@ TYPED_TEST(SharedCoreTest, ShutdownWaitsOutInflightWork) {
               std::future_status::ready);
     expect_same_result(f.get(), want, "shutdown");
   }
-  EXPECT_THROW(engine->submit(to_request(p)), Error);
+  EXPECT_THROW(pool->submit(to_request(p)), Error);
 }
 
-TYPED_TEST(SharedCoreTest, DoubleAndConcurrentShutdownAreSafe) {
-  auto engine = make_engine<TypeParam>(/*max_queue_depth=*/0);
+TEST(DevicePoolLifecycle, DoubleAndConcurrentShutdownAreSafe) {
+  auto pool = make_pool(/*max_queue_depth=*/0);
   const Problem p =
       make_spmm_problem(64, 64, 64, 8, 0.6, precision::L8R8, 92);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 6; ++i) {
-    futures.push_back(engine->submit(to_request(p)));
+    futures.push_back(pool->submit(to_request(p)));
   }
-  std::thread other([&] { engine->shutdown(); });
-  engine->shutdown();
+  std::thread other([&] { pool->shutdown(); });
+  pool->shutdown();
   other.join();
-  engine->shutdown();  // and once more after it fully stopped
+  pool->shutdown();  // and once more after it fully stopped
   for (auto& f : futures) EXPECT_NO_THROW(f.get());
-  EXPECT_THROW(engine->submit(to_request(p)), Error);
-  // The destructor's shutdown is now a no-op; ~engine must not hang.
+  EXPECT_THROW(pool->submit(to_request(p)), Error);
+  // The destructor's shutdown is now a no-op; ~pool must not hang.
 }
 
-TYPED_TEST(SharedCoreTest, ShutdownUnblocksBackpressuredSubmitters) {
-  auto engine = make_engine<TypeParam>(/*max_queue_depth=*/1);
+TEST(DevicePoolLifecycle, ShutdownUnblocksBackpressuredSubmitters) {
+  auto pool = make_pool(/*max_queue_depth=*/1);
   const Problem p =
       make_spmm_problem(128, 64, 64, 8, 0.6, precision::L8R8, 93);
   std::atomic<int> outcomes{0};  // submits that either completed or threw
@@ -606,7 +589,7 @@ TYPED_TEST(SharedCoreTest, ShutdownUnblocksBackpressuredSubmitters) {
   for (int t = 0; t < 4; ++t) {
     submitters.emplace_back([&] {
       try {
-        auto f = engine->submit(to_request(p));
+        auto f = pool->submit(to_request(p));
         f.wait();
       } catch (const Error&) {
         // Blocked in backpressure when shutdown began: clean refusal.
@@ -618,7 +601,7 @@ TYPED_TEST(SharedCoreTest, ShutdownUnblocksBackpressuredSubmitters) {
   // shut down under them: every one must return (served or refused),
   // never deadlock.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  engine->shutdown();
+  pool->shutdown();
   for (auto& t : submitters) t.join();
   EXPECT_EQ(outcomes.load(), 4);
 }
@@ -634,17 +617,17 @@ TYPED_TEST(SharedCoreTest, ShutdownUnblocksBackpressuredSubmitters) {
 // even while submitters are still unwinding out of their refusal. This
 // stress drives exactly that window, repeatedly and with no settling
 // sleep, so the race has many chances to fire under the sanitizers.
-TYPED_TEST(SharedCoreTest, RacingShutdownThenImmediateDestruction) {
+TEST(DevicePoolLifecycle, RacingShutdownThenImmediateDestruction) {
   const Problem p =
       make_spmm_problem(64, 64, 64, 8, 0.6, precision::L8R8, 94);
   for (int round = 0; round < 20; ++round) {
-    auto engine = make_engine<TypeParam>(/*max_queue_depth=*/1);
+    auto pool = make_pool(/*max_queue_depth=*/1);
     std::atomic<int> outcomes{0};
     std::vector<std::thread> submitters;
     for (int t = 0; t < 3; ++t) {
       submitters.emplace_back([&] {
         try {
-          auto f = engine->submit(to_request(p));
+          auto f = pool->submit(to_request(p));
           f.wait();
         } catch (const Error&) {
           // Refused at or after shutdown: the clean outcome.
@@ -656,9 +639,9 @@ TYPED_TEST(SharedCoreTest, RacingShutdownThenImmediateDestruction) {
     // inside the core, before the unlock/notify tail the old code got
     // wrong) — so all three are past their engine dereference, and the
     // teardown below races exactly their exit paths out of submit().
-    while (engine->stats().submitted < 3u) std::this_thread::yield();
-    engine->shutdown();
-    engine.reset();  // owner tears down the instant shutdown returns
+    while (pool->stats().submitted < 3u) std::this_thread::yield();
+    pool->shutdown();
+    pool.reset();  // owner tears down the instant shutdown returns
     for (auto& t : submitters) t.join();
     EXPECT_EQ(outcomes.load(), 3);
   }

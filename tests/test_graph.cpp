@@ -1,8 +1,9 @@
 // Fused attention-graph serving suite (`serve` CTest label): GraphRequest
 // bit-exactness against the composed three-call reference across schemes and
 // mask families, the zero-intermediate-insertion arena contract,
-// estimate-equals-execute for the fused pricing, the Request wrapper, both
-// engines' graph routing (stage spans included), and token sessions —
+// estimate-equals-execute for the fused pricing, the Request wrapper, the
+// pool's graph routing on one and two devices (stage spans included), and
+// token sessions —
 // mask re-slicing, replay invariance across pool sizes, and budgeted
 // admission.
 
@@ -187,11 +188,13 @@ TEST(GraphRequest, WrapperCarriesMaskIdentityAndNoOperands) {
 
 // ---- Engine routing -------------------------------------------------------
 
-TEST(BatchScheduler, ServesGraphRequestsBitExactly) {
+TEST(SingleDevicePool, ServesGraphRequestsBitExactly) {
   auto g = make_graph(conformance_masks(64, 8)[0], 64,
                       AttentionScheme::magicube_8b_8b, 23);
-  BatchScheduler engine;
-  const Response resp = engine.submit(make_graph_request(g)).get();
+  DevicePoolConfig cfg;
+  cfg.device_count = 1;
+  DevicePool pool(cfg);
+  const Response resp = pool.submit(make_graph_request(g)).get();
   ASSERT_TRUE(resp.graph);
   EXPECT_EQ(resp.graph->out, composed_reference(*g));
 }

@@ -1,7 +1,8 @@
 // Serving-engine suite (`serve` CTest label, also the TSan CI gate):
-// operand-cache accounting and LRU eviction, batched execution bit-exact
-// against sequential core:: calls across precision pairs, batch grouping,
-// failure propagation, and a multi-threaded submit stress test.
+// operand-cache accounting and LRU eviction, and a one-device DevicePool
+// serving bit-exact against sequential core:: calls across precision pairs,
+// failure propagation, drain, bounded-queue backpressure and a
+// multi-threaded submit stress test.
 
 #include <gtest/gtest.h>
 
@@ -60,6 +61,14 @@ Request sddmm_request(const Problem& p, PrecisionPair prec) {
   req.rhs_values = p.rhs;
   req.lhs_id = 0;  // anonymous activations
   return req;
+}
+
+/// The engine configuration these tests serve through: one simulated
+/// device, so every request runs whole on device 0.
+DevicePoolConfig one_device() {
+  DevicePoolConfig cfg;
+  cfg.device_count = 1;
+  return cfg;
 }
 
 // ---- OperandCache ---------------------------------------------------------
@@ -351,7 +360,7 @@ TEST(ServeRequest, SplitCachesAndPerDeviceCosting) {
   EXPECT_EQ(r1.spmm->c, r2.spmm->c);
 }
 
-// ---- BatchScheduler correctness ------------------------------------------
+// ---- One-device pool correctness ------------------------------------------
 
 class ServePrecisionTest : public ::testing::TestWithParam<PrecisionPair> {};
 
@@ -366,7 +375,7 @@ TEST_P(ServePrecisionTest, BatchedSpmmBitExactVsSequential) {
   const auto rhs = core::prepare_spmm_rhs(*p.rhs, prec);
   const core::SpmmResult expect = core::spmm(lhs, rhs, cfg);
 
-  BatchScheduler engine;
+  DevicePool engine(one_device());
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 6; ++i) {
     futures.push_back(engine.submit(spmm_request(p, prec)));
@@ -379,15 +388,20 @@ TEST_P(ServePrecisionTest, BatchedSpmmBitExactVsSequential) {
     EXPECT_GT(resp.modeled_seconds, 0.0);
   }
   // One preparation and one execution plan amortized over the burst: each
-  // request looks up the LHS and the plan (12 lookups), with exactly one
-  // winning insertion per kind; concurrent batch members that miss before
-  // the winner lands re-prepare and discard (counted race_discards).
-  const CacheStats cs = engine.cache().stats();
-  EXPECT_EQ(cs.lookups, 12u);
+  // request looks up the LHS in the device cache (6 lookups) with exactly
+  // one winning insertion; concurrent requests that miss before the winner
+  // lands re-prepare and discard (counted race_discards). The shared plan
+  // cache (also read by placement pricing) holds exactly one plan.
+  const CacheStats cs = engine.device_cache(0).stats();
+  EXPECT_EQ(cs.lookups, 6u);
   EXPECT_EQ(cs.hits + cs.misses, cs.lookups);
-  EXPECT_EQ(cs.insertions, 2u);
-  EXPECT_EQ(cs.misses, 2u + cs.race_discards);
-  EXPECT_EQ(engine.cache().entry_count(), 2u);
+  EXPECT_EQ(cs.insertions, 1u);
+  EXPECT_EQ(cs.misses, 1u + cs.race_discards);
+  EXPECT_EQ(engine.device_cache(0).entry_count(), 1u);
+  const CacheStats ps = engine.plan_cache().stats();
+  EXPECT_EQ(ps.hits + ps.misses, ps.lookups);
+  EXPECT_EQ(ps.insertions, 1u);
+  EXPECT_EQ(engine.plan_cache().entry_count(), 1u);
 }
 
 TEST_P(ServePrecisionTest, BatchedSddmmBitExactVsSequential) {
@@ -401,7 +415,7 @@ TEST_P(ServePrecisionTest, BatchedSddmmBitExactVsSequential) {
   const auto b = core::prepare_dense(*p.rhs, prec.rhs, false, chunk);
   const core::SddmmResult expect = core::sddmm(a, b, *p.pattern, cfg);
 
-  BatchScheduler engine;
+  DevicePool engine(one_device());
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 4; ++i) {
     futures.push_back(engine.submit(sddmm_request(p, prec)));
@@ -426,52 +440,8 @@ INSTANTIATE_TEST_SUITE_P(
       return s;
     });
 
-TEST(BatchScheduler, CompatibleBurstSharesOneBatch) {
-  BatchSchedulerConfig cfg;
-  cfg.max_batch = 4;
-  cfg.linger = std::chrono::milliseconds(1000);  // dispatch on fill, not time
-  BatchScheduler engine(cfg);
-
-  const Problem p = make_problem(precision::L8R8, 30);
-  std::vector<std::future<Response>> futures;
-  for (std::size_t i = 0; i < cfg.max_batch; ++i) {
-    futures.push_back(engine.submit(spmm_request(p, precision::L8R8)));
-  }
-  std::vector<Response> responses;
-  for (auto& f : futures) responses.push_back(f.get());
-
-  // All four were compatible and submitted within the linger window, so
-  // they must have been dispatched as one full batch.
-  for (const auto& r : responses) {
-    EXPECT_EQ(r.batch_id, responses.front().batch_id);
-    EXPECT_EQ(r.batch_size, cfg.max_batch);
-  }
-  const SchedulerStats ss = engine.stats();
-  EXPECT_EQ(ss.batches, 1u);
-  EXPECT_EQ(ss.batched_requests, cfg.max_batch);
-  EXPECT_EQ(ss.max_batch_size, cfg.max_batch);
-}
-
-TEST(BatchScheduler, IncompatibleRequestsSplitBatches) {
-  BatchSchedulerConfig cfg;
-  cfg.max_batch = 8;
-  cfg.linger = std::chrono::milliseconds(1000);
-  BatchScheduler engine(cfg);
-
-  const Problem p8 = make_problem(precision::L8R8, 31);
-  const Problem p4 = make_problem(precision::L4R4, 32);
-  auto f1 = engine.submit(spmm_request(p8, precision::L8R8));
-  auto f2 = engine.submit(spmm_request(p4, precision::L4R4));
-  auto f3 = engine.submit(sddmm_request(p8, precision::L8R8));
-  const Response r1 = f1.get(), r2 = f2.get(), r3 = f3.get();
-
-  EXPECT_NE(r1.batch_id, r2.batch_id);
-  EXPECT_NE(r1.batch_id, r3.batch_id);
-  EXPECT_EQ(engine.stats().batches, 3u);
-}
-
-TEST(BatchScheduler, MalformedRequestFailsItsFutureOnly) {
-  BatchScheduler engine;
+TEST(SingleDevicePool, MalformedRequestFailsItsFutureOnly) {
+  DevicePool engine(one_device());
   const Problem p = make_problem(precision::L8R8, 33);
 
   Request bad = spmm_request(p, precision::L8R8);
@@ -482,20 +452,20 @@ TEST(BatchScheduler, MalformedRequestFailsItsFutureOnly) {
   EXPECT_THROW(bad_future.get(), Error);
   EXPECT_TRUE(good_future.get().spmm.has_value());
   engine.drain();  // stats are final only once the engine is idle
-  const SchedulerStats ss = engine.stats();
+  const DevicePoolStats ss = engine.stats();
   EXPECT_EQ(ss.completed, 2u);
   EXPECT_EQ(ss.failed, 1u);
 }
 
-TEST(BatchScheduler, DrainCompletesAllSubmitted) {
-  BatchScheduler engine;
+TEST(SingleDevicePool, DrainCompletesAllSubmitted) {
+  DevicePool engine(one_device());
   const Problem p = make_problem(precision::L8R8, 34);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 20; ++i) {
     futures.push_back(engine.submit(spmm_request(p, precision::L8R8)));
   }
   engine.drain();
-  const SchedulerStats ss = engine.stats();
+  const DevicePoolStats ss = engine.stats();
   EXPECT_EQ(ss.submitted, 20u);
   EXPECT_EQ(ss.completed, 20u);
   for (auto& f : futures) {
@@ -548,7 +518,7 @@ TEST(OperandCache, PlanBytesChargedToLruBudget) {
 TEST(OperandCache, PlanSharedAcrossWeightVersionsOfOnePattern) {
   // Plans depend only on the structure: distinct weight matrices pruned to
   // one pattern (distinct lhs_id) replay one cached plan.
-  BatchScheduler engine;
+  DevicePool engine(one_device());
   const Problem p = make_problem(precision::L8R8, 41);
   Rng rng(42);
   const auto other_weights = std::make_shared<const Matrix<std::int32_t>>(
@@ -579,12 +549,11 @@ TEST(OperandCache, PlanSharedAcrossWeightVersionsOfOnePattern) {
 
 // ---- Bounded submit queue -------------------------------------------------
 
-TEST(BatchScheduler, BoundedQueueCompletesEverything) {
-  BatchSchedulerConfig cfg;
+TEST(SingleDevicePool, BoundedQueueCompletesEverything) {
+  DevicePoolConfig cfg = one_device();
   cfg.max_queue_depth = 2;
-  cfg.max_batch = 2;
   cfg.linger = std::chrono::microseconds(50);
-  BatchScheduler engine(cfg);
+  DevicePool engine(cfg);
 
   const Problem p = make_problem(precision::L8R8, 50);
   std::vector<std::future<Response>> futures;
@@ -594,16 +563,16 @@ TEST(BatchScheduler, BoundedQueueCompletesEverything) {
   }
   for (auto& f : futures) EXPECT_TRUE(f.get().spmm.has_value());
   engine.drain();  // stats are final only once the engine is idle
-  const SchedulerStats ss = engine.stats();
+  const DevicePoolStats ss = engine.stats();
   EXPECT_EQ(ss.submitted, 16u);
   EXPECT_EQ(ss.completed, 16u);
 }
 
-TEST(BatchScheduler, BoundedQueueBackpressureAcrossThreads) {
-  BatchSchedulerConfig cfg;
+TEST(SingleDevicePool, BoundedQueueBackpressureAcrossThreads) {
+  DevicePoolConfig cfg = one_device();
   cfg.max_queue_depth = 1;  // every concurrent submitter contends
   cfg.linger = std::chrono::microseconds(0);
-  BatchScheduler engine(cfg);
+  DevicePool engine(cfg);
 
   const Problem p = make_problem(precision::L8R8, 51);
   constexpr int kThreads = 4, kEach = 8;
@@ -626,7 +595,7 @@ TEST(BatchScheduler, BoundedQueueBackpressureAcrossThreads) {
 
 // ---- Multi-threaded stress ------------------------------------------------
 
-TEST(BatchScheduler, MultiThreadedSubmitStress) {
+TEST(SingleDevicePool, MultiThreadedSubmitStress) {
   constexpr int kClients = 4;
   constexpr int kPerClient = 32;
   const PrecisionPair precisions[] = {precision::L8R8, precision::L16R8,
@@ -661,9 +630,9 @@ TEST(BatchScheduler, MultiThreadedSubmitStress) {
     expected[static_cast<std::size_t>(pi)].push_back(std::move(e));
   }
 
-  BatchSchedulerConfig cfg;
+  DevicePoolConfig cfg = one_device();
   cfg.linger = std::chrono::microseconds(100);
-  BatchScheduler engine(cfg);
+  DevicePool engine(cfg);
 
   std::vector<std::thread> clients;
   std::vector<int> mismatches(kClients, 0);
@@ -693,19 +662,20 @@ TEST(BatchScheduler, MultiThreadedSubmitStress) {
   for (int t = 0; t < kClients; ++t) EXPECT_EQ(mismatches[t], 0) << t;
 
   engine.drain();  // stats are final only once the engine is idle
-  const SchedulerStats ss = engine.stats();
+  const DevicePoolStats ss = engine.stats();
   EXPECT_EQ(ss.submitted,
             static_cast<std::uint64_t>(kClients) * kPerClient);
   EXPECT_EQ(ss.completed, ss.submitted);
   EXPECT_EQ(ss.failed, 0u);
 
-  const CacheStats cs = engine.cache().stats();
+  const CacheStats cs = engine.device_cache(0).stats();
   EXPECT_EQ(cs.hits + cs.misses, cs.lookups);
-  // Every request looks up its LHS (SpMM only) and its execution plan; only
-  // the first per (problem, precision, kind) misses — 3 SpMM LHS + 3 SpMM
-  // plans + 3 SDDMM plans (modulo prepare races, which the cache
-  // reconciles).
-  EXPECT_GE(cs.hits, cs.lookups - 9 - cs.race_discards);
+  // Every SpMM request looks up its LHS in the device cache; only the first
+  // per problem misses — 3 SpMM LHS (modulo prepare races, which the cache
+  // reconciles). The plan cache keeps one plan per (problem, op): 3 SpMM +
+  // 3 SDDMM.
+  EXPECT_GE(cs.hits, cs.lookups - 3 - cs.race_discards);
+  EXPECT_EQ(engine.plan_cache().stats().insertions, 6u);
 }
 
 }  // namespace

@@ -2,10 +2,9 @@
 // and shedding (whole, sharded and retry re-placement paths — always a
 // clean ShedError with a `shed` trace span, never a silent drop),
 // EDF-within-priority dispatch ordering, shed determinism across fleet
-// sizes, manifest-driven cache warmup on both engines, device-affinity
-// placement, drain-triggered cost-model re-placement of queued work
-// (bit-exact), adaptive linger accounting, and the BatchScheduler's
-// modeled-work batch sizing.
+// sizes, manifest-driven cache warmup, device-affinity placement,
+// drain-triggered cost-model re-placement of queued work (bit-exact), and
+// adaptive linger accounting.
 
 #include <gtest/gtest.h>
 
@@ -265,24 +264,6 @@ TEST(SlaWarmup, PoolServesWarmPlanHitsFromFirstRequest) {
   const Response resp = pool.submit(to_request(p)).get();
   EXPECT_TRUE(resp.plan_cache_hit);
   expect_same_result(resp, sequential_reference(p), "warm pool");
-}
-
-TEST(SlaWarmup, SchedulerServesWarmPlanHitsFromFirstRequest) {
-  const Problem p =
-      make_spmm_problem(128, 64, 64, 8, 0.5, precision::L8R8, 907);
-  BatchScheduler sched;
-  WarmupManifest manifest;
-  WarmupEntry e;
-  e.pattern = p.pattern;
-  e.cols = p.rhs->cols();
-  e.pin = true;
-  manifest.entries.push_back(e);
-  const WarmupReport report = sched.warmup(manifest);
-  EXPECT_EQ(report.plans_built, 1u);
-  EXPECT_EQ(report.pinned, 1u);
-
-  const Response resp = sched.submit(to_request(p)).get();
-  EXPECT_TRUE(resp.plan_cache_hit);
 }
 
 // ---- Deadline shedding ----------------------------------------------------
@@ -664,54 +645,6 @@ TEST(SlaReplace, NoSurvivorKeepsQueuedWorkOnDrainedDevice) {
     expect_same_result(resp, want, "drained-but-kept");
     EXPECT_EQ(resp.device, 0);
   }
-}
-
-// ---- Modeled-work batch sizing --------------------------------------------
-
-TEST(SlaBatchBudget, TightBudgetDispatchesSinglesLooseBudgetCoalesces) {
-  const Problem p =
-      make_spmm_problem(128, 64, 64, 8, 0.5, precision::L8R8, 936);
-  const double est = est_on_a100(p);
-  const Response want = sequential_reference(p);
-  const int n = 6;
-  {
-    // Budget below one request's cost: the first member is still always
-    // admitted, so every batch is exactly one request.
-    BatchSchedulerConfig cfg;
-    cfg.max_batch = 8;
-    cfg.batch_budget_seconds = est / 10.0;
-    cfg.linger = std::chrono::seconds(2);
-    cfg.max_queue_depth = n;
-    BatchScheduler sched(cfg);
-    std::vector<std::future<Response>> futures;
-    for (int i = 0; i < n; ++i) futures.push_back(sched.submit(to_request(p)));
-    for (auto& f : futures) expect_same_result(f.get(), want, "tight");
-    const SchedulerStats st = sched.stats();
-    EXPECT_EQ(st.batches, static_cast<std::uint64_t>(n));
-    EXPECT_EQ(st.max_batch_size, 1u);
-  }
-  {
-    // Budget far above the whole round: the compatible group coalesces
-    // into one batch, exactly the static behavior.
-    BatchSchedulerConfig cfg;
-    cfg.max_batch = 8;
-    cfg.batch_budget_seconds = 100.0 * n * est;
-    cfg.linger = std::chrono::seconds(2);
-    cfg.max_queue_depth = n;
-    BatchScheduler sched(cfg);
-    std::vector<std::future<Response>> futures;
-    for (int i = 0; i < n; ++i) futures.push_back(sched.submit(to_request(p)));
-    for (auto& f : futures) expect_same_result(f.get(), want, "loose");
-    const SchedulerStats st = sched.stats();
-    EXPECT_EQ(st.batches, 1u);
-    EXPECT_EQ(st.max_batch_size, static_cast<std::uint64_t>(n));
-  }
-}
-
-TEST(SlaBatchBudget, RejectsNegativeBudget) {
-  BatchSchedulerConfig cfg;
-  cfg.batch_budget_seconds = -1.0;
-  EXPECT_THROW(BatchScheduler sched(cfg), Error);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Trace-schema suite (`serve` CTest label): the structured per-request
-// traces both serving engines emit (serve/trace.hpp) are well-formed JSON,
+// traces the serving engine emits (serve/trace.hpp) are well-formed JSON,
 // their spans nest within and cover the request's full modeled interval
 // (no silent gap: backlog waits are `queue` spans, re-placement gaps are
 // `retry` spans), retry spans appear exactly when faults were injected,
@@ -104,17 +104,18 @@ void expect_spans_cover_interval(const RequestTrace& trace) {
 
 // ---- Well-formedness ------------------------------------------------------
 
-TEST(TraceSchema, BatchSchedulerTraceWellFormedJson) {
-  BatchSchedulerConfig cfg;
+TEST(TraceSchema, SingleDevicePoolTraceWellFormedJson) {
+  DevicePoolConfig cfg;
+  cfg.device_count = 1;
   cfg.linger = std::chrono::microseconds(50);
-  BatchScheduler engine(cfg);
+  DevicePool engine(cfg);
   const Problem p = make_problem(OpKind::spmm, 128, 64, 64, 0.5, 901);
   const Response resp = engine.submit(to_request(p)).get();
 
   ASSERT_TRUE(resp.trace);
   const RequestTrace& trace = *resp.trace;
   EXPECT_EQ(trace.request_id, 1u);
-  EXPECT_EQ(trace.engine, "batch_scheduler");
+  EXPECT_EQ(trace.engine, "device_pool");
   EXPECT_TRUE(trace.ok);
   expect_spans_cover_interval(trace);
   EXPECT_EQ(count_spans(trace, "replay"), 1u);
@@ -122,7 +123,7 @@ TEST(TraceSchema, BatchSchedulerTraceWellFormedJson) {
   const testjson::Value doc = testjson::parse(to_json(trace));
   ASSERT_TRUE(doc.is_object());
   EXPECT_EQ(doc.at("request_id").num, 1.0);
-  EXPECT_EQ(doc.at("engine").str, "batch_scheduler");
+  EXPECT_EQ(doc.at("engine").str, "device_pool");
   EXPECT_EQ(doc.at("op").str, "spmm");
   EXPECT_EQ(doc.at("precision").str, "L8-R8");
   EXPECT_TRUE(doc.at("ok").b);
@@ -291,11 +292,11 @@ TEST(TraceLog, WriteJsonExportsParseableDocument) {
 }
 
 TEST(TraceSchema, BatchAttrsRecordBatchGrouping) {
-  BatchSchedulerConfig cfg;
-  cfg.max_batch = 2;  // the second submit cuts the linger short
+  DevicePoolConfig cfg;
+  cfg.device_count = 1;
   cfg.linger = std::chrono::seconds(2);
-  cfg.max_queue_depth = 2;
-  BatchScheduler engine(cfg);
+  cfg.max_queue_depth = 2;  // the second submit cuts the linger short
+  DevicePool engine(cfg);
   const Problem p = make_problem(OpKind::spmm, 64, 64, 64, 0.5, 908);
   auto f1 = engine.submit(to_request(p));
   auto f2 = engine.submit(to_request(p));
