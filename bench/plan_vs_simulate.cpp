@@ -1,23 +1,19 @@
-// Replay engines vs lane-accurate simulation: wall-clock comparison of the
-// block-panel replay (ExecMode::fast, ReplayKernel::panel — the default),
-// the PR-3 per-fragment replay (ReplayKernel::fragment) and
-// ExecMode::simulate, plus the one-time plan-build cost, on the Fig. 12
-// SpMM shapes (uniform DLMC-style patterns, every precision pair) and the
-// Fig. 13 SDDMM pairs.
+// Panel replay vs lane-accurate simulation: wall-clock comparison of the
+// block-panel replay (ExecMode::fast) and ExecMode::simulate, plus the
+// one-time plan-build cost, on the Fig. 12 SpMM shapes (uniform DLMC-style
+// patterns, every precision pair) and the Fig. 13 SDDMM pairs.
 //
-// Bit-exactness and counter equality across all three engines are
-// re-asserted inline on every shape before timing (a bench that measured a
-// wrong kernel would be worse than no bench); a mismatch always fails. The
-// acceptance gates compare against the *recorded baseline* JSON in
-// bench/baselines/ (bars rise by re-recording, never by editing code):
-//   * aggregate SpMM panel-vs-simulate speedup >= recorded bar
-//   * aggregate SpMM panel-vs-fragment speedup >= recorded bar (the
-//     micro-kernel must keep beating the engine it replaced)
-// The bars are host-speed ratios, so they are only reported by default:
-// the bench-smoke CTest registration runs beside other tests under
-// `ctest -j` and checks invariants only. With --enforce-bars (the CI
-// perf-smoke step) the binary exits nonzero on a miss. Sanitizer builds
-// report without enforcing either way (distorted timings).
+// Bit-exactness and counter equality of the two engines are re-asserted
+// inline on every shape before timing (a bench that measured a wrong
+// kernel would be worse than no bench); a mismatch always fails. The
+// acceptance gate compares the aggregate SpMM panel-vs-simulate speedup
+// against the *recorded baseline* JSON in bench/baselines/ (bars rise by
+// re-recording, never by editing code). The bars are host-speed ratios, so
+// they are only reported by default: the bench-smoke CTest registration
+// runs beside other tests under `ctest -j` and checks invariants only. With
+// --enforce-bars (the CI perf-smoke step) the binary exits nonzero on a
+// miss. Sanitizer builds report without enforcing either way (distorted
+// timings).
 //
 // Like serve_throughput, --smoke is peeled off argv and the rest forwards
 // to google-benchmark (--benchmark_out, ...); CI uploads the JSON so the
@@ -97,7 +93,7 @@ void time_batch_min(int reps, Fn&& fn, double& best) {
 constexpr int kTimingRounds = 2;
 
 struct OpTimings {
-  double simulate_s = 1e30, fragment_s = 1e30, panel_s = 1e30;
+  double simulate_s = 1e30, panel_s = 1e30;
   double plan_build_s = 0;
   /// Plan-recorded bucket census (which specialized kernel each block row /
   /// block replays through) — surfaced in the table and the JSON artifact.
@@ -125,33 +121,22 @@ OpTimings time_spmm(const Shape& shape, PrecisionPair prec,
   t.plan_build_s = seconds_since(start);
   t.spmm_buckets = plan->run.counters.spmm_bucket_blocks;
 
-  // Correctness anchor before timing: all three engines bit-exact, counters
+  // Correctness anchor before timing: both engines bit-exact, counters
   // equal.
   cfg.mode = core::ExecMode::simulate;
   const core::SpmmResult sim = core::spmm(a, b, cfg);
   cfg.mode = core::ExecMode::fast;
-  cfg.replay = core::ReplayKernel::fragment;
-  const core::SpmmResult frag = core::spmm(a, b, cfg, *plan);
-  cfg.replay = core::ReplayKernel::panel;
   const core::SpmmResult panel = core::spmm(a, b, cfg, *plan);
-  MAGICUBE_CHECK_MSG(frag.c == sim.c, "fragment/simulate result mismatch");
   MAGICUBE_CHECK_MSG(panel.c == sim.c, "panel/simulate result mismatch");
   MAGICUBE_CHECK_MSG(panel.run.counters == sim.run.counters,
                      "fast/simulate counter mismatch");
 
   for (int round = 0; round < kTimingRounds; ++round) {
     cfg.mode = core::ExecMode::simulate;
-    cfg.replay = std::nullopt;
     time_batch_min(
         shape.reps, [&] { benchmark::DoNotOptimize(core::spmm(a, b, cfg)); },
         t.simulate_s);
     cfg.mode = core::ExecMode::fast;
-    cfg.replay = core::ReplayKernel::fragment;
-    time_batch_min(
-        shape.reps,
-        [&] { benchmark::DoNotOptimize(core::spmm(a, b, cfg, *plan)); },
-        t.fragment_s);
-    cfg.replay = core::ReplayKernel::panel;
     time_batch_min(
         shape.reps,
         [&] { benchmark::DoNotOptimize(core::spmm(a, b, cfg, *plan)); },
@@ -185,12 +170,7 @@ OpTimings time_sddmm(const Shape& shape, PrecisionPair prec,
   cfg.mode = core::ExecMode::simulate;
   const core::SddmmResult sim = core::sddmm(a, b, pattern, cfg);
   cfg.mode = core::ExecMode::fast;
-  cfg.replay = core::ReplayKernel::fragment;
-  const core::SddmmResult frag = core::sddmm(a, b, pattern, cfg, *plan);
-  cfg.replay = core::ReplayKernel::panel;
   const core::SddmmResult panel = core::sddmm(a, b, pattern, cfg, *plan);
-  MAGICUBE_CHECK_MSG(frag.c.values == sim.c.values,
-                     "fragment/simulate result mismatch");
   MAGICUBE_CHECK_MSG(panel.c.values == sim.c.values,
                      "panel/simulate result mismatch");
   MAGICUBE_CHECK_MSG(panel.run.counters == sim.run.counters,
@@ -198,20 +178,11 @@ OpTimings time_sddmm(const Shape& shape, PrecisionPair prec,
 
   for (int round = 0; round < kTimingRounds; ++round) {
     cfg.mode = core::ExecMode::simulate;
-    cfg.replay = std::nullopt;
     time_batch_min(
         shape.reps,
         [&] { benchmark::DoNotOptimize(core::sddmm(a, b, pattern, cfg)); },
         t.simulate_s);
     cfg.mode = core::ExecMode::fast;
-    cfg.replay = core::ReplayKernel::fragment;
-    time_batch_min(
-        shape.reps,
-        [&] {
-          benchmark::DoNotOptimize(core::sddmm(a, b, pattern, cfg, *plan));
-        },
-        t.fragment_s);
-    cfg.replay = core::ReplayKernel::panel;
     time_batch_min(
         shape.reps,
         [&] {
@@ -228,7 +199,7 @@ bool g_smoke = false;
 /// `enforce` is set, the build is unsanitized and a bar is missed.
 bool comparison_table(bool smoke, bool enforce) {
   const Shape shape = shape_for(smoke);
-  std::printf("== replay engines: panel vs fragment vs ExecMode::simulate"
+  std::printf("== panel replay vs ExecMode::simulate"
               "%s (SIMD micro-kernel: %s) ==\n",
               smoke ? " [smoke]" : "",
               simt::simd_enabled() ? "on" : "off (scalar fallback)");
@@ -236,10 +207,9 @@ bool comparison_table(bool smoke, bool enforce) {
               "%.2f; SDDMM (Fig. 13) on the M x N pattern at K=%zu\n\n",
               shape.m, shape.k, shape.n, shape.v, shape.sparsity, shape.k);
 
-  bench::Table table({"op", "precision", "simulate (ms)", "fragment (ms)",
-                      "panel (ms)", "panel vs sim", "panel vs frag",
-                      "plan build (ms)"});
-  double sim_total = 0, frag_total = 0, panel_total = 0;
+  bench::Table table({"op", "precision", "simulate (ms)", "panel (ms)",
+                      "panel vs sim", "plan build (ms)"});
+  double sim_total = 0, panel_total = 0;
   std::array<std::uint64_t, simt::kSpmmBucketKinds> spmm_buckets{};
   std::array<std::uint64_t, simt::kSddmmBucketKinds> sddmm_buckets{};
 
@@ -252,16 +222,13 @@ bool comparison_table(bool smoke, bool enforce) {
         time_spmm(shape, prec, 0x916 + bits_of(prec.lhs) * 8u +
                                    static_cast<unsigned>(bits_of(prec.rhs)));
     sim_total += t.simulate_s;
-    frag_total += t.fragment_s;
     panel_total += t.panel_s;
     for (std::size_t i = 0; i < spmm_buckets.size(); ++i) {
       spmm_buckets[i] += t.spmm_buckets[i];
     }
     table.add_row({"spmm", to_string(prec), bench::fmt(t.simulate_s * 1e3, 2),
-                   bench::fmt(t.fragment_s * 1e3, 2),
                    bench::fmt(t.panel_s * 1e3, 2),
                    bench::fmt(t.simulate_s / t.panel_s, 2) + "x",
-                   bench::fmt(t.fragment_s / t.panel_s, 2) + "x",
                    bench::fmt(t.plan_build_s * 1e3, 3)});
   }
 
@@ -274,10 +241,8 @@ bool comparison_table(bool smoke, bool enforce) {
     }
     table.add_row({"sddmm", to_string(prec),
                    bench::fmt(t.simulate_s * 1e3, 2),
-                   bench::fmt(t.fragment_s * 1e3, 2),
                    bench::fmt(t.panel_s * 1e3, 2),
                    bench::fmt(t.simulate_s / t.panel_s, 2) + "x",
-                   bench::fmt(t.fragment_s / t.panel_s, 2) + "x",
                    bench::fmt(t.plan_build_s * 1e3, 3)});
   }
   table.print();
@@ -299,20 +264,16 @@ bool comparison_table(bool smoke, bool enforce) {
   std::printf("\n");
 
   const double vs_sim = sim_total / panel_total;
-  const double vs_frag = frag_total / panel_total;
 
   const bench::Baselines bars = bench::load_baselines(
       MAGICUBE_BENCH_BASELINE_DIR, "plan_vs_simulate.json");
-  // Bars are recorded per shape set and per MAGICUBE_SIMD build flavor (the
-  // scalar fallback is a correctness kernel first; its bar only guards
-  // against pathological regressions).
+  // Bars are recorded per shape set and per MAGICUBE_SIMD build flavor.
   const std::string prefix = std::string(smoke ? "smoke_" : "full_") +
                              (simt::simd_enabled() ? "simd_" : "scalar_");
   bool bars_ok = bars.loaded;
-  double sim_bar = 0, frag_bar = 0;
+  double sim_bar = 0;
   if (bars.loaded) {
     sim_bar = bars.get(prefix + "spmm_panel_vs_simulate_min", &bars_ok);
-    frag_bar = bars.get(prefix + "spmm_panel_vs_fragment_min", &bars_ok);
   }
 
   bool gate = true;
@@ -321,15 +282,10 @@ bool comparison_table(bool smoke, bool enforce) {
                 bars.path.c_str());
     gate = false;
   } else {
-    const bool sim_ok = vs_sim >= sim_bar;
-    const bool frag_ok = vs_frag >= frag_bar;
-    gate = sim_ok && frag_ok;
+    gate = vs_sim >= sim_bar;
     std::printf("\naggregate SpMM panel-vs-simulate speedup: %.2fx "
                 "(recorded bar: >= %.2fx) — %s\n",
-                vs_sim, sim_bar, sim_ok ? "PASS" : "FAIL");
-    std::printf("aggregate SpMM panel-vs-fragment speedup: %.2fx "
-                "(recorded bar: >= %.2fx) — %s\n",
-                vs_frag, frag_bar, frag_ok ? "PASS" : "FAIL");
+                vs_sim, sim_bar, gate ? "PASS" : "FAIL");
     std::printf("(bars recorded in %s; raise them by re-recording, not by "
                 "editing the gate)%s\n\n",
                 bars.path.c_str(),
@@ -368,7 +324,6 @@ void BM_SpmmPanelReplay(benchmark::State& state) {
   const auto b_vals = core::random_values(shape.k, shape.n, Scalar::s8, rng);
   core::SpmmConfig cfg;
   cfg.mode = core::ExecMode::fast;
-  cfg.replay = core::ReplayKernel::panel;
   const auto a = core::prepare_spmm_lhs(pattern, a_vals, cfg.precision,
                                         core::needs_shuffle(cfg));
   const auto b = core::prepare_spmm_rhs(b_vals, cfg.precision);
@@ -384,26 +339,6 @@ void BM_SpmmPanelReplay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpmmPanelReplay)->Unit(benchmark::kMillisecond);
-
-void BM_SpmmFragmentReplay(benchmark::State& state) {
-  const Shape shape = shape_for(g_smoke);
-  Rng rng(1);
-  const auto pattern = sparse::make_uniform_pattern(shape.m, shape.k, shape.v,
-                                                    shape.sparsity, rng);
-  const auto a_vals = core::random_values(shape.m, shape.k, Scalar::s8, rng);
-  const auto b_vals = core::random_values(shape.k, shape.n, Scalar::s8, rng);
-  core::SpmmConfig cfg;
-  cfg.mode = core::ExecMode::fast;
-  cfg.replay = core::ReplayKernel::fragment;
-  const auto a = core::prepare_spmm_lhs(pattern, a_vals, cfg.precision,
-                                        core::needs_shuffle(cfg));
-  const auto b = core::prepare_spmm_rhs(b_vals, cfg.precision);
-  const auto plan = core::build_spmm_plan(a, shape.n, cfg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::spmm(a, b, cfg, *plan));
-  }
-}
-BENCHMARK(BM_SpmmFragmentReplay)->Unit(benchmark::kMillisecond);
 
 void BM_SpmmPlanBuild(benchmark::State& state) {
   const Shape shape = shape_for(g_smoke);
@@ -429,7 +364,6 @@ void BM_SddmmPanelReplay(benchmark::State& state) {
   const auto b_vals = core::random_values(shape.k, shape.n, Scalar::s8, rng);
   core::SddmmConfig cfg;
   cfg.mode = core::ExecMode::fast;
-  cfg.replay = core::ReplayKernel::panel;
   const auto a = core::prepare_dense(a_vals, Scalar::s8, true, 8);
   const auto b = core::prepare_dense(b_vals, Scalar::s8, false, 8);
   const auto plan = core::build_sddmm_plan(pattern, shape.k, cfg);

@@ -85,14 +85,12 @@ constexpr int spmm_output_col_int4(int mma, int tile_col) {
 }
 
 /// Lane schedule of the phased RHS fragment loads (§IV-B2): during phase
-/// `ph`, lane `t` of warp `w` reads stride row spmm_rhs_k_row(...) at word
-/// column spmm_rhs_word_col(...) of the staged BSk x BSn tile. Shared by
-/// the simulated kernel and the execution-plan builder so both derive the
-/// identical schedule from one definition.
-constexpr int spmm_rhs_k_row(bool int4path, int ph, int lane) {
+/// `ph`, lane `t` of warp `w` reads stride row spmm_rhs_load_row(...) at
+/// word column spmm_rhs_load_word(...) of the staged BSk x BSn tile.
+constexpr int spmm_rhs_load_row(bool int4path, int ph, int lane) {
   return int4path ? 8 * (lane % 4) + ph : 4 * (lane % 4) + ph;
 }
-constexpr int spmm_rhs_word_col(bool int4path, int w, int lane) {
+constexpr int spmm_rhs_load_word(bool int4path, int w, int lane) {
   return int4path ? w * 4 + (lane / 4) % 4 : w * 8 + lane / 4;
 }
 

@@ -46,41 +46,6 @@ void set_default_exec_mode(ExecMode m) {
   exec_mode_slot().store(m, std::memory_order_relaxed);
 }
 
-const char* to_string(ReplayKernel k) {
-  switch (k) {
-    case ReplayKernel::panel: return "panel";
-    case ReplayKernel::fragment: return "fragment";
-  }
-  return "?";
-}
-
-namespace {
-
-ReplayKernel initial_replay_kernel() {
-  if (const char* e = std::getenv("MAGICUBE_REPLAY_KERNEL")) {
-    if (std::strcmp(e, "panel") == 0) return ReplayKernel::panel;
-    if (std::strcmp(e, "fragment") == 0) return ReplayKernel::fragment;
-    MAGICUBE_CHECK_MSG(false, "MAGICUBE_REPLAY_KERNEL must be 'panel' or "
-                              "'fragment', got '" << e << "'");
-  }
-  return ReplayKernel::panel;
-}
-
-std::atomic<ReplayKernel>& replay_kernel_slot() {
-  static std::atomic<ReplayKernel> kernel{initial_replay_kernel()};
-  return kernel;
-}
-
-}  // namespace
-
-ReplayKernel default_replay_kernel() {
-  return replay_kernel_slot().load(std::memory_order_relaxed);
-}
-
-void set_default_replay_kernel(ReplayKernel k) {
-  replay_kernel_slot().store(k, std::memory_order_relaxed);
-}
-
 const char* to_string(PanelKernelId id) {
   switch (id) {
     case PanelKernelId::generic: return "generic";
@@ -99,33 +64,6 @@ const char* to_string(SddmmKernelId id) {
     case SddmmKernelId::tail: return "tail";
   }
   return "?";
-}
-
-namespace {
-
-bool initial_panel_buckets() {
-  if (const char* e = std::getenv("MAGICUBE_PANEL_BUCKETS")) {
-    if (std::strcmp(e, "on") == 0) return true;
-    if (std::strcmp(e, "off") == 0) return false;
-    MAGICUBE_CHECK_MSG(false, "MAGICUBE_PANEL_BUCKETS must be 'on' or "
-                              "'off', got '" << e << "'");
-  }
-  return true;
-}
-
-std::atomic<bool>& panel_buckets_slot() {
-  static std::atomic<bool> on{initial_panel_buckets()};
-  return on;
-}
-
-}  // namespace
-
-bool default_panel_buckets() {
-  return panel_buckets_slot().load(std::memory_order_relaxed);
-}
-
-void set_default_panel_buckets(bool on) {
-  panel_buckets_slot().store(on, std::memory_order_relaxed);
 }
 
 namespace detail {
@@ -429,9 +367,6 @@ std::uint64_t sddmm_dram_bytes(const SddmmGeom& g,
 
 std::size_t SpmmPlan::footprint_bytes() const {
   return sizeof(SpmmPlan) +
-         a_frag_src.size() * sizeof(std::array<LaneSrc, 32>) +
-         (rhs_k_row.size() + rhs_word_col.size()) *
-             sizeof(std::array<std::int8_t, 32>) +
          rhs_row_base.size() * sizeof(std::size_t) +
          a_panel_src.size() * sizeof(std::array<PanelRow, 8>) +
          row_kernel.size() * sizeof(std::uint8_t);
@@ -456,28 +391,7 @@ SpmmPlanHandle build_spmm_plan(const SparseOperand& a, std::size_t n_cols,
   detail::SpmmGeom& g = plan->geom;
   g = detail::make_spmm_geom(a, q_planes, n_cols, sr.cols, cfg);
 
-  // LHS fragment schedule: group -> lane -> (plane, tile word). Mirrors the
-  // phase-4 fragment addressing of the simulated kernel with the smem map
-  // removed (the staged tile is a contiguous copy of the plane bytes).
-  plan->a_frag_src.resize(static_cast<std::size_t>(g.g));
-  for (int grp = 0; grp < g.g; ++grp) {
-    auto& lanes = plan->a_frag_src[static_cast<std::size_t>(grp)];
-    for (int lane = 0; lane < 32; ++lane) {
-      const int row = lane / 4;
-      const int lp = row / g.v;
-      const int pl = grp * g.s + lp;
-      if (pl >= g.p || lp >= g.group_size(grp)) continue;
-      const int rb = row % g.v;
-      lanes[static_cast<std::size_t>(lane)] = {
-          static_cast<std::int8_t>(pl),
-          static_cast<std::int8_t>(rb * 4 + lane % 4)};
-      if (grp == g.g - 1 && pl == g.p - 1) {
-        plan->bias_lane[static_cast<std::size_t>(lane)] = 1;
-      }
-    }
-  }
-
-  // Panel schedule: the same plane stacking by tile coordinates. Panel row
+  // Panel schedule: Fig. 10b plane stacking by tile coordinates. Panel row
   // rr = lp * V + rb decodes tile row rb of plane grp * s + lp; rows beyond
   // the group's stacked planes stay inactive (the panel kernel zeroes them
   // and the epilogue never reads their accumulators).
@@ -511,23 +425,6 @@ SpmmPlanHandle build_spmm_plan(const SparseOperand& a, std::size_t n_cols,
     }
     plan->panel_k_slot[static_cast<std::size_t>(k)] =
         static_cast<std::uint8_t>(pos);
-  }
-
-  // RHS gather schedule of the online transpose (Fig. 4 staging + the
-  // phased fragment reads collapsed into direct row/word coordinates).
-  plan->rhs_k_row.resize(static_cast<std::size_t>(g.phases));
-  plan->rhs_word_col.resize(static_cast<std::size_t>(2 * g.phases));
-  for (int ph = 0; ph < g.phases; ++ph) {
-    for (int lane = 0; lane < 32; ++lane) {
-      plan->rhs_k_row[static_cast<std::size_t>(ph)]
-                     [static_cast<std::size_t>(lane)] =
-          static_cast<std::int8_t>(spmm_rhs_k_row(g.int4path, ph, lane));
-      for (int w = 0; w < 2; ++w) {
-        plan->rhs_word_col[static_cast<std::size_t>(w * g.phases + ph)]
-                          [static_cast<std::size_t>(lane)] =
-            static_cast<std::int8_t>(spmm_rhs_word_col(g.int4path, w, lane));
-      }
-    }
   }
 
   // Per-slot RHS row bases: the SR-BCRS column indices resolved to byte
@@ -637,12 +534,6 @@ SddmmPlanHandle build_sddmm_plan(const sparse::BlockPattern& pattern,
   g = detail::make_sddmm_geom(cfg.precision, p_planes, q_planes,
                               pattern.vector_length, k_depth, cfg.prefetch);
   plan->map = detail::make_sddmm_block_map(pattern);
-
-  for (int lane = 0; lane < 32; ++lane) {
-    const int row = lane / 4;
-    plan->a_row[static_cast<std::size_t>(lane)] =
-        row < g.v ? static_cast<std::int8_t>(row) : std::int8_t{-1};
-  }
 
   const std::size_t col_bytes =
       g.k * static_cast<std::size_t>(g.chunk) / 8;

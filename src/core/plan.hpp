@@ -14,18 +14,19 @@
 // structure) and the tile-schedule precomputation of cuTeSpMM/FlashSparse.
 //
 // An execution plan captures exactly the data-independent half:
-//   * the lane schedules of every phase — LHS fragment sources (plane +
-//     word per lane, Fig. 10b stacking baked in), RHS gather rows and word
-//     columns of the online transpose, and per-slot RHS row byte bases —
-//     with the shared-memory word map already folded into them;
+//   * the panel schedules — per plane group, the LHS plane and tile row
+//     behind each mma A row (Fig. 10b stacking baked in), the B-panel k
+//     order of a stride tile, and per-slot RHS row byte bases (the SR-BCRS
+//     column indices resolved once);
+//   * the replay bucket of every unit of work, classified at build time;
 //   * the full simt::KernelRun (launch shape, pipeline shape and
 //     KernelCounters including compulsory DRAM traffic), computed
 //     analytically from the structure.
 //
-// ExecMode::fast (the default) replays the schedules with little-endian
-// SWAR word gathers straight from the packed plane buffers and an
-// uncounted decode-once mma, reusing thread-local scratch arenas across
-// blocks and run_grid calls. Outputs are bit-exact with the lane-accurate
+// ExecMode::fast (the default) replays the schedules with the block-panel
+// engine: operand plane groups are decoded once per stride tile into
+// thread-local panel arenas and multiplied by the bucket's vectorizable
+// simt panel micro-kernel. Outputs are bit-exact with the lane-accurate
 // simulation and the analytic counters match the simulated counts exactly
 // (asserted per precision pair x variant by tests/test_plan.cpp).
 // ExecMode::simulate keeps the original instruction-level path as the
@@ -65,30 +66,6 @@ const char* to_string(ExecMode m);
 ExecMode default_exec_mode();
 void set_default_exec_mode(ExecMode m);
 
-/// Which replay implementation ExecMode::fast runs.
-///
-///   panel    — block-panel engine: operand plane groups are decoded once
-///              per stride tile into contiguous thread-local panel arenas
-///              and multiplied with the vectorizable simt::mma_panel /
-///              simt::dot_wrap micro-kernels, one invocation covering all
-///              adjacent 8-column mma tiles of a block. The default.
-///   fragment — the PR-3 per-fragment replay (lane-schedule word gathers,
-///              register transpose, one scalar mma_decoded per 8x8 tile).
-///              Kept as the in-tree comparison point and second reference.
-///
-/// Both kernels replay the same plan and are bit-exact with each other and
-/// with ExecMode::simulate (asserted by tests/test_plan.cpp and inline by
-/// bench/plan_vs_simulate before timing).
-enum class ReplayKernel : std::uint8_t { panel, fragment };
-
-const char* to_string(ReplayKernel k);
-
-/// Process-wide default used when a config leaves `replay` unset.
-/// Initialized from MAGICUBE_REPLAY_KERNEL ("panel" or "fragment") on first
-/// use; panel otherwise. set_default_replay_kernel overrides at runtime.
-ReplayKernel default_replay_kernel();
-void set_default_replay_kernel(ReplayKernel k);
-
 /// Replay micro-kernel bucket of one SpMM block row, classified at
 /// plan-build time from the row's (shape, precision, v-stack depth,
 /// column-panel width) and recorded in SpmmPlan::row_kernel. The panel
@@ -124,19 +101,9 @@ static_assert(kPanelKernelIds == simt::kSpmmBucketKinds,
 static_assert(kSddmmKernelIds == simt::kSddmmBucketKinds,
               "SddmmKernelId out of sync with simt::kSddmmBucketKinds");
 
-/// Whether ExecMode::fast panel replay dispatches the per-bucket
-/// specialized micro-kernels (the default) or forces the generic
-/// mma_panel/dot_wrap path for every row. Plans always *record* buckets —
-/// the toggle affects dispatch only, so flipping it replays the same plan
-/// bit-exactly (the plan-equivalence property tests lean on this).
-/// Initialized from MAGICUBE_PANEL_BUCKETS ("on" or "off") on first use;
-/// on otherwise. set_default_panel_buckets overrides at runtime.
-bool default_panel_buckets();
-void set_default_panel_buckets(bool on);
-
 namespace detail {
 
-/// SpMM geometry shared by the functional kernel, the fast replay loop and
+/// SpMM geometry shared by the functional kernel, the panel replay and
 /// the analytic estimator (formerly private to spmm.cpp).
 struct SpmmGeom {
   // Datapath.
@@ -265,17 +232,6 @@ PanelKernelId classify_spmm_row(const SpmmGeom& g, std::uint64_t steps);
 /// Same for one SDDMM thread block holding `valid` pattern vectors.
 SddmmKernelId classify_sddmm_block(const SddmmGeom& g, std::uint64_t valid);
 
-/// Little-endian 32-bit gather from a packed plane byte buffer: the SWAR
-/// word op of the fast path. Operand words are epw elements of chunk bits
-/// packed element-0-lowest, i.e. exactly the little-endian bytes the
-/// PackedBuffer stores, so one 4-byte read replaces epw get_raw bit loops.
-inline std::uint32_t load_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
 }  // namespace detail
 
 /// Sentinel in SpmmPlan::rhs_row_base for padded slots (the "*" columns).
@@ -292,31 +248,13 @@ struct SpmmPlan {
   /// Analytic launch + pipeline + counters (DRAM included) of one replay.
   simt::KernelRun run;
 
-  /// LHS fragment schedule: for plane group `grp`, lane `t` loads word
-  /// `word` of plane `plane`'s current stride tile (word < 0: inactive).
-  struct LaneSrc {
-    std::int8_t plane = -1;
-    std::int8_t word = -1;
-  };
-  std::vector<std::array<LaneSrc, 32>> a_frag_src;  // [group][lane]
-  /// Lanes of the last group whose word belongs to the signed top plane
-  /// (bias-encoded with the msb mask before the mma).
-  std::array<std::uint8_t, 32> bias_lane{};
-
-  /// RHS gather schedule of the online transpose: during fragment phase
-  /// `ph`, lane `t` reads stride row rhs_k_row[ph][t] at word column
-  /// rhs_word_col[w * phases + ph][t].
-  std::vector<std::array<std::int8_t, 32>> rhs_k_row;     // [phase][lane]
-  std::vector<std::array<std::int8_t, 32>> rhs_word_col;  // [w*phases+ph][lane]
-
   /// Per-slot RHS row byte base (col * N * chunk / 8), kNoRhsRow for
   /// padding — the SR-BCRS column indices resolved once.
   std::vector<std::size_t> rhs_row_base;
 
-  /// Panel replay schedule: the lane schedules above flattened to tile
-  /// coordinates. For plane group `grp`, panel row `rr` (0..7, the mma A
-  /// row with Fig. 10b plane stacking baked in) decodes LHS plane `plane`,
-  /// tile row `row` (both < 0: inactive, zero row); `biased` rows
+  /// Panel replay schedule: for plane group `grp`, panel row `rr` (0..7,
+  /// the mma A row with Fig. 10b plane stacking baked in) decodes LHS plane
+  /// `plane`, tile row `row` (both < 0: inactive, zero row); `biased` rows
   /// bias-encode the stacked signed top plane before the unsigned decode.
   /// The RHS panel needs no schedule of its own — rhs_row_base already
   /// names each stride row's bytes, and a block's bsn columns are
@@ -366,10 +304,6 @@ struct SddmmPlan {
   detail::SddmmGeom geom;
   simt::KernelRun run;
   detail::SddmmBlockMap map;
-
-  /// LHS fragment schedule: lane `t` reads word `t % 4` of tile row
-  /// a_row[t] (< 0: inactive, V < 8).
-  std::array<std::int8_t, 32> a_row{};
 
   /// Per-pattern-vector RHS column byte base (col * K * chunk / 8).
   std::vector<std::size_t> rhs_col_base;

@@ -21,10 +21,9 @@ using simt::WarpReg;
 
 using Geom = detail::SddmmGeom;
 using detail::kSddmmSlotsPerBlock;
-using detail::load_le32;
 
 /// Weighted plane combine + writeback of one block's accumulators (value
-/// half of the epilogue, shared by both execution paths).
+/// half of the epilogue of the simulated path).
 void sddmm_value_epilogue(const Geom& g, const DenseOperand& a,
                           const DenseOperand& b, const AccumFrag* acc,
                           std::size_t slot_base, std::uint32_t valid,
@@ -208,98 +207,6 @@ void run_block(simt::BlockContext& ctx, const BlockArgs& args) {
   kc.gmem_store_sectors += e.gmem_store_sectors;
 }
 
-// ---- Fast path: value-only plan replay ------------------------------------
-
-struct SddmmScratch {
-  std::vector<AccumFrag> acc;
-  std::vector<simt::DecodedFrag> a_dec;  // one per LHS plane
-};
-
-SddmmScratch& sddmm_scratch() {
-  thread_local SddmmScratch scratch;
-  return scratch;
-}
-
-void fast_block(std::size_t blk, const DenseOperand& a,
-                const DenseOperand& b, const SddmmPlan& plan,
-                std::vector<std::int32_t>& c_values) {
-  const Geom& g = plan.geom;
-  const std::size_t r = plan.map.row[blk];
-  const std::size_t slot_base = plan.map.slot_base[blk];
-  const std::uint32_t valid = plan.map.valid[blk];
-  const std::size_t v = static_cast<std::size_t>(g.v);
-  const std::size_t chunk = static_cast<std::size_t>(g.chunk);
-  const std::size_t row_bytes = g.k * chunk / 8;  // one A row / B column
-
-  SddmmScratch& s = sddmm_scratch();
-  s.acc.assign(static_cast<std::size_t>(2 * g.p * g.q), AccumFrag{});
-  s.a_dec.resize(static_cast<std::size_t>(g.p));
-  auto acc_at = [&](int w, int pl, int qq) -> AccumFrag& {
-    return s.acc[static_cast<std::size_t>((w * g.p + pl) * g.q + qq)];
-  };
-
-  for (std::uint64_t st = 0; st < g.steps; ++st) {
-    const std::size_t kbyte =
-        static_cast<std::size_t>(st) * static_cast<std::size_t>(g.stride) *
-        chunk / 8;
-
-    // LHS fragments: gathered straight from the plane bytes (the staged
-    // tile is a row-major copy); identical for both warps, so gathered and
-    // decoded once per step and reused across the plane cross product.
-    for (int pl = 0; pl < g.p; ++pl) {
-      const std::uint8_t* a_bytes =
-          a.planes[static_cast<std::size_t>(pl)].values.data();
-      WarpReg frag{};
-      for (int lane = 0; lane < 32; ++lane) {
-        const std::int8_t row = plan.a_row[static_cast<std::size_t>(lane)];
-        frag[static_cast<std::size_t>(lane)] =
-            row < 0 ? 0
-                    : load_le32(a_bytes +
-                                (r * v + static_cast<std::size_t>(row)) *
-                                    row_bytes +
-                                kbyte + 4u * static_cast<unsigned>(lane % 4));
-      }
-      simt::DecodedFrag& dec = s.a_dec[static_cast<std::size_t>(pl)];
-      const bool a_signed = a.planes[static_cast<std::size_t>(pl)].is_signed;
-      if (g.int4path) {
-        simt::decode_frag_int4(frag, a_signed, dec);
-      } else {
-        simt::decode_frag_int8(frag, a_signed, dec);
-      }
-    }
-
-    for (int w = 0; w < 2; ++w) {
-      for (int qq = 0; qq < g.q; ++qq) {
-        const auto& bplane = b.planes[static_cast<std::size_t>(qq)];
-        const std::uint8_t* b_bytes = bplane.values.data();
-        // RHS fragment once per (warp, plane): the simulated path rebuilds
-        // it per LHS plane with identical values (register reuse).
-        WarpReg b_frag{};
-        for (int lane = 0; lane < 32; ++lane) {
-          const std::uint32_t slot_in_block =
-              static_cast<std::uint32_t>(w * 8 + lane / 4);
-          if (slot_in_block >= valid) continue;
-          b_frag[static_cast<std::size_t>(lane)] = load_le32(
-              b_bytes + plan.rhs_col_base[slot_base + slot_in_block] +
-              kbyte + 4u * static_cast<unsigned>(lane % 4));
-        }
-        simt::DecodedFrag b_dec;
-        if (g.int4path) {
-          simt::decode_frag_int4(b_frag, bplane.is_signed, b_dec);
-        } else {
-          simt::decode_frag_int8(b_frag, bplane.is_signed, b_dec);
-        }
-        for (int pl = 0; pl < g.p; ++pl) {
-          simt::mma_decoded(acc_at(w, pl, qq),
-                            s.a_dec[static_cast<std::size_t>(pl)], b_dec);
-        }
-      }
-    }
-  }
-
-  sddmm_value_epilogue(g, a, b, s.acc.data(), slot_base, valid, c_values);
-}
-
 // ---- Panel fast path: block-panel replay ----------------------------------
 //
 // A rows and B columns are both K contiguous elements in their plane
@@ -313,8 +220,7 @@ void fast_block(std::size_t blk, const DenseOperand& a,
 // and replay dispatches on the recorded SddmmKernelId: fused_single drops
 // the plane cross-product loops for the dominant p == q == 1 full-block
 // case and applies the combined weight once per slot; tail (valid < 16)
-// and generic share the bounded body. MAGICUBE_PANEL_BUCKETS=off forces
-// the generic body for every block — bit-exact either way.
+// and generic share the bounded body.
 
 struct SddmmPanelScratch {
   std::vector<std::int32_t> a_panel;  // [p][v][K] decoded LHS rows
@@ -327,7 +233,7 @@ SddmmPanelScratch& sddmm_panel_scratch() {
 }
 
 void panel_block(std::size_t blk, const DenseOperand& a,
-                 const DenseOperand& b, const SddmmPlan& plan, bool buckets,
+                 const DenseOperand& b, const SddmmPlan& plan,
                  std::vector<std::int32_t>& c_values) {
   const Geom& g = plan.geom;
   const std::size_t r = plan.map.row[blk];
@@ -337,10 +243,7 @@ void panel_block(std::size_t blk, const DenseOperand& a,
   const std::size_t k = g.k;
   const std::size_t row_bytes = k * static_cast<std::size_t>(g.chunk) / 8;
   const bool int4 = g.int4path;
-  const SddmmKernelId id = buckets
-                               ? static_cast<SddmmKernelId>(
-                                     plan.block_kernel[blk])
-                               : SddmmKernelId::generic;
+  const auto id = static_cast<SddmmKernelId>(plan.block_kernel[blk]);
 
   SddmmPanelScratch& s = sddmm_panel_scratch();
   s.a_panel.resize(static_cast<std::size_t>(g.p) * v * k);
@@ -478,7 +381,6 @@ SddmmResult run_simulate(const DenseOperand& a, const DenseOperand& b,
 SddmmResult run_fast(const DenseOperand& a, const DenseOperand& b,
                      const sparse::BlockPattern& pattern,
                      const SddmmConfig& cfg, const SddmmPlan& plan) {
-  const ReplayKernel kernel = cfg.replay.value_or(default_replay_kernel());
   const Geom& g = plan.geom;
   MAGICUBE_CHECK_MSG(g.k == a.cols && g.v == pattern.vector_length,
                      "execution plan built for a different problem shape");
@@ -519,20 +421,11 @@ SddmmResult run_fast(const DenseOperand& a, const DenseOperand& b,
   }
 
   SddmmResult result = make_result_shell(pattern, g.v);
-  if (kernel == ReplayKernel::panel) {
-    // Bucket dispatch needs the recorded per-block kernel ids; plans built
-    // before bucketing (or with the toggle off) replay through the generic
-    // body, which is bit-exact with every specialized path.
-    const bool buckets = default_panel_buckets() &&
-                         plan.block_kernel.size() == plan.map.row.size();
-    simt::run_grid_values(plan.run.launch.grid_blocks, [&](std::size_t blk) {
-      panel_block(blk, a, b, plan, buckets, result.c.values);
-    });
-  } else {
-    simt::run_grid_values(plan.run.launch.grid_blocks, [&](std::size_t blk) {
-      fast_block(blk, a, b, plan, result.c.values);
-    });
-  }
+  MAGICUBE_CHECK_MSG(plan.block_kernel.size() == plan.map.row.size(),
+                     "plan carries no replay buckets");
+  simt::run_grid_values(plan.run.launch.grid_blocks, [&](std::size_t blk) {
+    panel_block(blk, a, b, plan, result.c.values);
+  });
   result.run = plan.run;
   result.c.validate();
   return result;

@@ -30,7 +30,6 @@ using simt::LaneWords;
 using simt::WarpReg;
 
 using Geom = detail::SpmmGeom;
-using detail::load_le32;
 using detail::stack_shfls;
 
 int output_col(const Geom& g, int mma, int tile_col) {
@@ -38,8 +37,8 @@ int output_col(const Geom& g, int mma, int tile_col) {
                     : spmm_output_col_int8(mma, tile_col);
 }
 
-// ---- Value helpers shared by the simulated and fast paths -----------------
-// Pure data transformations; event counting stays with each caller.
+// ---- Value helpers of the simulated path ----------------------------------
+// Pure data transformations; event counting stays with the caller.
 
 /// Register transpose of one loaded RHS phase set (Fig. 5 / Fig. 7):
 /// b_regs[lane][i] = fragment register of mma i for this lane.
@@ -337,8 +336,8 @@ void run_block(simt::BlockContext& ctx, const BlockArgs& args) {
           LaneAddrs sa;
           sa.fill(simt::kInactiveLane);
           for (int lane = 0; lane < 32; ++lane) {
-            const int word_col = spmm_rhs_word_col(g.int4path, w, lane);
-            const int k_row = spmm_rhs_k_row(g.int4path, ph, lane);
+            const int word_col = spmm_rhs_load_word(g.int4path, w, lane);
+            const int k_row = spmm_rhs_load_row(g.int4path, ph, lane);
             sa[static_cast<std::size_t>(lane)] =
                 g.rhs_base +
                 static_cast<std::size_t>(qq) * g.layout.total_words() +
@@ -413,159 +412,23 @@ void run_block(simt::BlockContext& ctx, const BlockArgs& args) {
   kc.syncthreads += 1;
 }
 
-// ---- Fast path: value-only plan replay ------------------------------------
-
-/// Thread-local scratch arena reused across blocks and run_grid calls (the
-/// fast path never allocates per block).
-struct SpmmScratch {
-  std::vector<AccumFrag> acc;
-  std::vector<std::int64_t> colsum;
-  std::vector<simt::DecodedFrag> a_dec;       // one per plane group
-  std::array<simt::DecodedFrag, 4> b_dec{};   // one per mma index
-};
-
-SpmmScratch& spmm_scratch() {
-  thread_local SpmmScratch scratch;
-  return scratch;
-}
-
-void fast_block(std::size_t blk, const SparseOperand& a,
-                const DenseOperand& b, const SpmmPlan& plan,
-                Matrix<std::int32_t>& c) {
-  const Geom& g = plan.geom;
-  const sparse::SrBcrs& sr = a.structure;
-  const std::size_t r = blk / g.col_blocks;
-  const std::size_t cb = blk % g.col_blocks;
-  const std::size_t steps = sr.strides_in_row(r);
-  const std::size_t stride = static_cast<std::size_t>(g.stride);
-  const std::size_t v = static_cast<std::size_t>(g.v);
-  const std::size_t chunk = static_cast<std::size_t>(g.chunk);
-
-  SpmmScratch& s = spmm_scratch();
-  s.acc.assign(static_cast<std::size_t>(2 * g.g * g.q * 4), AccumFrag{});
-  s.colsum.assign(
-      g.bias_correct ? static_cast<std::size_t>(2 * g.q * 32) : 0, 0);
-  s.a_dec.resize(static_cast<std::size_t>(g.g));
-  auto acc_at = [&](int w, int grp, int qq, int mma) -> AccumFrag& {
-    return s.acc[static_cast<std::size_t>(
-        ((w * g.g + grp) * g.q + qq) * 4 + mma)];
-  };
-
-  const std::size_t cb_byte = cb * g.bsn * chunk / 8;
-  const std::uint32_t msb_mask = g.chunk == 4 ? 0x88888888u : 0x80808080u;
-
-  for (std::size_t st = 0; st < steps; ++st) {
-    const std::size_t slot_base = sr.first_ptr[r] + st * stride;
-    const std::size_t lhs_byte = slot_base * v * chunk / 8;
-
-    // LHS fragments: the staged stride tile is a contiguous copy of the
-    // plane bytes, so the schedule gathers words straight from them. Both
-    // warps load identical fragments — gathered and decoded once per step.
-    for (int grp = 0; grp < g.g; ++grp) {
-      WarpReg frag{};
-      const auto& srcs = plan.a_frag_src[static_cast<std::size_t>(grp)];
-      const bool biased = g.bias_correct && grp == g.g - 1;
-      for (int lane = 0; lane < 32; ++lane) {
-        const SpmmPlan::LaneSrc src = srcs[static_cast<std::size_t>(lane)];
-        std::uint32_t word = 0;
-        if (src.word >= 0) {
-          word = load_le32(
-              a.planes[static_cast<std::size_t>(src.plane)].values.data() +
-              lhs_byte + 4u * static_cast<unsigned>(src.word));
-          if (biased && plan.bias_lane[static_cast<std::size_t>(lane)]) {
-            word ^= msb_mask;
-          }
-        }
-        frag[static_cast<std::size_t>(lane)] = word;
-      }
-      simt::DecodedFrag& dec = s.a_dec[static_cast<std::size_t>(grp)];
-      if (g.int4path) {
-        simt::decode_frag_int4(frag, lhs_group_signed(g, a, grp), dec);
-      } else {
-        simt::decode_frag_int8(frag, lhs_group_signed(g, a, grp), dec);
-      }
-    }
-
-    for (int w = 0; w < 2; ++w) {
-      for (int qq = 0; qq < g.q; ++qq) {
-        const std::uint8_t* b_bytes =
-            b.planes[static_cast<std::size_t>(qq)].values.data();
-        std::array<std::array<std::uint32_t, 8>, 32> loaded{};
-        for (int ph = 0; ph < g.phases; ++ph) {
-          const auto& k_row = plan.rhs_k_row[static_cast<std::size_t>(ph)];
-          const auto& word_col =
-              plan.rhs_word_col[static_cast<std::size_t>(w * g.phases + ph)];
-          for (int lane = 0; lane < 32; ++lane) {
-            const std::size_t base = plan.rhs_row_base
-                [slot_base +
-                 static_cast<std::size_t>(k_row[static_cast<std::size_t>(lane)])];
-            loaded[static_cast<std::size_t>(lane)]
-                  [static_cast<std::size_t>(ph)] =
-                base == kNoRhsRow
-                    ? 0
-                    : load_le32(b_bytes + base + cb_byte +
-                                4u * static_cast<unsigned>(
-                                         word_col[static_cast<std::size_t>(
-                                             lane)]));
-          }
-        }
-
-        std::array<std::array<std::uint32_t, 4>, 32> b_regs{};
-        transpose_b_regs(g, loaded, b_regs);
-        if (g.bias_correct) {
-          update_colsum(g, b_regs,
-                        b.planes[static_cast<std::size_t>(qq)].is_signed, w,
-                        qq, s.colsum.data());
-        }
-
-        // Decode each mma's RHS fragment once; every plane group reuses it.
-        const bool b_signed =
-            b.planes[static_cast<std::size_t>(qq)].is_signed;
-        for (int mma = 0; mma < 4; ++mma) {
-          WarpReg b_frag{};
-          for (int lane = 0; lane < 32; ++lane) {
-            b_frag[static_cast<std::size_t>(lane)] =
-                b_regs[static_cast<std::size_t>(lane)]
-                      [static_cast<std::size_t>(mma)];
-          }
-          simt::DecodedFrag& dec = s.b_dec[static_cast<std::size_t>(mma)];
-          if (g.int4path) {
-            simt::decode_frag_int4(b_frag, b_signed, dec);
-          } else {
-            simt::decode_frag_int8(b_frag, b_signed, dec);
-          }
-        }
-        for (int grp = 0; grp < g.g; ++grp) {
-          for (int mma = 0; mma < 4; ++mma) {
-            simt::mma_decoded(acc_at(w, grp, qq, mma),
-                              s.a_dec[static_cast<std::size_t>(grp)],
-                              s.b_dec[static_cast<std::size_t>(mma)]);
-          }
-        }
-      }
-    }
-  }
-
-  spmm_value_epilogue(g, a, b, s.acc.data(), s.colsum.data(), r, cb, c);
-}
-
 // ---- Panel fast path: block-panel replay ----------------------------------
 //
 // One invocation of a panel micro-kernel per (plane group, RHS plane, step)
 // covers a block's whole bsn-column tile — all 8 adjacent 8-column mma
-// tiles that the fragment replay walked one scalar mma_decoded at a time
-// (2 warps x 4 mma). Replay runs one job per *block row*: the row's A
-// panels (every step x plane group) decode once into a per-row arena and
-// all of the row's column blocks replay from it — the per-(row, cb) grid
-// re-decoded the identical A bytes col_blocks times. Jobs write disjoint C
-// rows, so the per-row grid parallelizes exactly like the per-block one.
+// tiles of the block's 2 warps x 4 mma issues. Replay runs one job per
+// *block row*: the row's A panels (every step x plane group) decode once
+// into a per-row arena and all of the row's column blocks replay from it —
+// the per-(row, cb) grid re-decoded the identical A bytes col_blocks
+// times. Jobs write disjoint C rows, so the per-row grid parallelizes
+// exactly like the per-block one.
 //
 // Each row dispatches the replay kernel its plan-time bucket named
 // (SpmmPlan::row_kernel): fixed-width 64-column panels with per-group
 // active-row limits for the bsn==64 buckets, a fused decode+mma for the
 // dominant single-group/single-plane bucket (no B panel arena at all), the
 // runtime-width generic kernel otherwise. All buckets are bit-exact mod
-// 2^32 with the generic path; MAGICUBE_PANEL_BUCKETS=off forces generic.
+// 2^32 with the generic path.
 
 struct SpmmPanelScratch {
   std::vector<std::uint32_t> acc;        // [group][q][8 rows][bsn] wrapping
@@ -625,7 +488,7 @@ void spmm_panel_epilogue(const Geom& g, const SparseOperand& a,
 }
 
 void panel_row(std::size_t r, const SparseOperand& a, const DenseOperand& b,
-               const SpmmPlan& plan, bool buckets, Matrix<std::int32_t>& c) {
+               const SpmmPlan& plan, Matrix<std::int32_t>& c) {
   const Geom& g = plan.geom;
   const sparse::SrBcrs& sr = a.structure;
   const std::size_t steps = sr.strides_in_row(r);
@@ -635,9 +498,7 @@ void panel_row(std::size_t r, const SparseOperand& a, const DenseOperand& b,
   const std::size_t n = g.bsn;
   const bool int4 = g.int4path;
 
-  const PanelKernelId row_id =
-      buckets ? static_cast<PanelKernelId>(plan.row_kernel[r])
-              : PanelKernelId::generic;
+  const auto row_id = static_cast<PanelKernelId>(plan.row_kernel[r]);
   // A structurally empty row contributes nothing: C was zero-initialized,
   // and replaying zero steps through the generic path writes only zeros.
   if (row_id == PanelKernelId::empty || steps == 0) return;
@@ -760,9 +621,9 @@ void panel_row(std::size_t r, const SparseOperand& a, const DenseOperand& b,
       }
 
       // MAC: one panel invocation per (group, RHS plane) replaces the
-      // step's 2 warps x 4 scalar mma_decoded issues. The fixed-width
-      // buckets dispatch the compile-time-64 kernel with per-group row
-      // limits; generic keeps the runtime-width path.
+      // step's 2 warps x 4 mma issues. The fixed-width buckets dispatch the
+      // compile-time-64 kernel with per-group row limits; generic keeps the
+      // runtime-width path.
       for (int grp = 0; grp < g.g; ++grp) {
         for (int qq = 0; qq < g.q; ++qq) {
           std::uint32_t* acc =
@@ -838,8 +699,7 @@ SpmmResult run_simulate(const SparseOperand& a, const DenseOperand& b,
 }
 
 SpmmResult run_fast(const SparseOperand& a, const DenseOperand& b,
-                    const SpmmConfig& cfg, const SpmmPlan& plan) {
-  const ReplayKernel kernel = cfg.replay.value_or(default_replay_kernel());
+                    const SpmmPlan& plan) {
   const Geom& g = plan.geom;
   MAGICUBE_CHECK_MSG(g.n == b.cols && g.k == b.rows,
                      "execution plan built for a different problem shape");
@@ -870,28 +730,19 @@ SpmmResult run_fast(const SparseOperand& a, const DenseOperand& b,
                        "execution plan built for a different sparsity "
                        "structure — plans are per pattern fingerprint");
   }
-  (void)cfg;
 
   SpmmResult result;
   result.c = Matrix<std::int32_t>(a.structure.rows, b.cols, 0);
-  if (kernel == ReplayKernel::panel) {
-    MAGICUBE_CHECK_MSG(plan.a_panel_src.size() ==
-                           static_cast<std::size_t>(g.g),
-                       "plan carries no panel schedule");
-    // One job per block row (decode-once A arena shared by the row's
-    // column blocks); rows write disjoint C ranges. Bucket dispatch needs
-    // the plan's per-row kernel ids; without them (or with the toggle off)
-    // every row runs the generic kernel — bit-exact either way.
-    const bool buckets = default_panel_buckets() &&
-                         plan.row_kernel.size() == a.structure.vector_rows();
-    simt::run_grid_values(a.structure.vector_rows(), [&](std::size_t r) {
-      panel_row(r, a, b, plan, buckets, result.c);
-    });
-  } else {
-    simt::run_grid_values(plan.run.launch.grid_blocks, [&](std::size_t blk) {
-      fast_block(blk, a, b, plan, result.c);
-    });
-  }
+  MAGICUBE_CHECK_MSG(plan.a_panel_src.size() ==
+                         static_cast<std::size_t>(g.g),
+                     "plan carries no panel schedule");
+  MAGICUBE_CHECK_MSG(plan.row_kernel.size() == a.structure.vector_rows(),
+                     "plan carries no replay buckets");
+  // One job per block row (decode-once A arena shared by the row's column
+  // blocks); rows write disjoint C ranges.
+  simt::run_grid_values(a.structure.vector_rows(), [&](std::size_t r) {
+    panel_row(r, a, b, plan, result.c);
+  });
   result.run = plan.run;
   return result;
 }
@@ -903,7 +754,7 @@ SpmmResult spmm(const SparseOperand& a, const DenseOperand& b,
   validate_spmm_inputs(a, b, cfg);
   if (cfg.mode.value_or(default_exec_mode()) == ExecMode::fast) {
     const SpmmPlanHandle plan = build_spmm_plan(a, b.cols, cfg);
-    return run_fast(a, b, cfg, *plan);
+    return run_fast(a, b, *plan);
   }
   return run_simulate(a, b, cfg);
 }
@@ -914,7 +765,7 @@ SpmmResult spmm(const SparseOperand& a, const DenseOperand& b,
   if (cfg.mode.value_or(default_exec_mode()) == ExecMode::simulate) {
     return run_simulate(a, b, cfg);
   }
-  return run_fast(a, b, cfg, plan);
+  return run_fast(a, b, plan);
 }
 
 simt::KernelRun spmm_estimate(const sparse::BlockPattern& pattern,

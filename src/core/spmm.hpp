@@ -51,10 +51,6 @@ struct SpmmConfig {
   /// MAGICUBE_EXEC_MODE / set_default_exec_mode says otherwise). Both modes
   /// produce bit-exact results and identical counters.
   std::optional<ExecMode> mode = std::nullopt;
-  /// Fast-path replay kernel; unset defers to default_replay_kernel()
-  /// (panel unless MAGICUBE_REPLAY_KERNEL says otherwise). Panel and
-  /// fragment replay are bit-exact with each other and with simulate.
-  std::optional<ReplayKernel> replay = std::nullopt;
 };
 
 /// Whether the LHS operand must be column-shuffled for this config.

@@ -51,12 +51,12 @@ void mma_m8n8k32(AccumFrag& d, const WarpReg& a, const WarpReg& b,
                  const AccumFrag& c, bool a_signed, bool b_signed,
                  KernelCounters& counters);
 
-/// Uncounted mma primitives for the execution-plan fast path. A DecodedFrag
-/// holds the logical elements of one operand fragment (A row-major 8 x K or
-/// B col-major K x 8) unpacked from the packed lane registers once, so a
-/// fragment reused across several mma issues — stacked plane groups, the
-/// emulation plane cross product, both warps of a block — pays decode once
-/// instead of once per issue. K = 16 (int8) or 32 (int4).
+/// Uncounted mma primitives. A DecodedFrag holds the logical elements of
+/// one operand fragment (A row-major 8 x K or B col-major K x 8) unpacked
+/// once, K = 16 (int8) or 32 (int4); it is also the A-tile layout the panel
+/// micro-kernels below consume. decode_frag_* + mma_decoded form the
+/// per-tile reference chain the panel kernels are checked against
+/// (tests/test_tensor_core_panel.cpp).
 struct DecodedFrag {
   std::array<std::array<std::int32_t, 32>, 8> v{};  // [row-or-col][k]
   int k = 16;

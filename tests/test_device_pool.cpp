@@ -180,31 +180,21 @@ TEST(DevicePoolShard, ShardedSpmmBitExactAndSpansDevices) {
 }
 
 // Bucketed panel dispatch stays bit-exact through pool sharding: the same
-// problems served with bucket dispatch on and off, across N in {1, 2, 4}
-// devices, all match one sequential single-device reference.
+// problems served across N in {1, 2, 4} devices all match one sequential
+// single-device reference.
 TEST(DevicePoolShard, BucketToggleBitExactAcrossShardCounts) {
-  struct BucketsGuard {
-    bool original = core::default_panel_buckets();
-    ~BucketsGuard() { core::set_default_panel_buckets(original); }
-  } guard;
   const Problem spmm_p =
       make_spmm_problem(256, 128, 128, 8, 0.6, precision::L16R4, 31);
   const Problem sddmm_p =
       make_sddmm_problem(256, 64, 128, 8, 0.5, precision::L8R8, 32);
-  core::set_default_panel_buckets(true);
   const Response spmm_want = sequential_reference(spmm_p);
   const Response sddmm_want = sequential_reference(sddmm_p);
-  for (const bool buckets : {true, false}) {
-    core::set_default_panel_buckets(buckets);
-    for (const std::size_t devices : {1u, 2u, 4u}) {
-      DevicePool pool(sharding_config(devices));
-      expect_same_result(pool.submit(to_request(spmm_p)).get(), spmm_want,
-                         buckets ? "bucketed sharded spmm"
-                                 : "generic sharded spmm");
-      expect_same_result(pool.submit(to_request(sddmm_p)).get(), sddmm_want,
-                         buckets ? "bucketed sharded sddmm"
-                                 : "generic sharded sddmm");
-    }
+  for (const std::size_t devices : {1u, 2u, 4u}) {
+    DevicePool pool(sharding_config(devices));
+    expect_same_result(pool.submit(to_request(spmm_p)).get(), spmm_want,
+                       "bucketed sharded spmm");
+    expect_same_result(pool.submit(to_request(sddmm_p)).get(), sddmm_want,
+                       "bucketed sharded sddmm");
   }
 }
 
