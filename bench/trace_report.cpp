@@ -4,10 +4,10 @@
 //
 // CI pipes the stdout markdown into $GITHUB_STEP_SUMMARY after the soak
 // benches run, so a reviewer reads p50/p99/max modeled span durations per
-// kind (queue, replay, retry, shed, replace, hedge, probe, quarantine,
-// ...) without downloading the artifact; --out=FILE.json additionally
-// emits a machine-readable magicube.trace_report.v1 document that rides
-// next to the BENCH_*.json uploads.
+// kind (queue, replay, retry, shed, replace, ...) without downloading the
+// artifact; --out=FILE.json additionally emits a machine-readable
+// magicube.trace_report.v1 document that rides next to the BENCH_*.json
+// uploads.
 //
 // --fail-on-failed-spans[=kind1,kind2] turns the report into a gate: the
 // exit code goes nonzero when any listed span kind carries an ok="false"
@@ -280,30 +280,29 @@ int self_test() {
     return fail("empty trace document");
   }
   print_markdown(empty);
-  // The self-healing span kinds aggregate like any other, and the
+  // The recovery span kinds aggregate like any other, and the
   // --fail-on-failed-spans gate fires on its listed kinds only: the
   // failed replay above must not trip the default (merge-only) gate, a
   // failed merge must.
-  const std::string healing_doc = R"({
+  const std::string recovery_doc = R"({
     "schema": "magicube.trace.v1", "engine": "device_pool",
     "traces": [
       {"ok": true, "spans": [
-        {"name": "hedge", "begin": 0, "end": 2e-6,
-         "attrs": {"action": "place"}},
-        {"name": "hedge", "begin": 2e-6, "end": 2e-6,
-         "attrs": {"action": "cancel", "winner": "primary"}},
-        {"name": "probe", "begin": 0, "end": 0},
-        {"name": "quarantine", "begin": 1e-6, "end": 1e-6,
-         "attrs": {"action": "enter"}}]},
+        {"name": "retry", "begin": 0, "end": 2e-6,
+         "attrs": {"attempt": "1", "from_device": "0"}},
+        {"name": "retry", "begin": 2e-6, "end": 3e-6,
+         "attrs": {"attempt": "2", "from_device": "1"}},
+        {"name": "replace", "begin": 1e-6, "end": 1e-6,
+         "attrs": {"from_device": "2"}}]},
       {"ok": false, "spans": [
         {"name": "merge", "begin": 0, "end": 4e-6,
          "attrs": {"ok": "false"}}]}
     ]})";
   Report h;
-  accumulate_document(Parser(healing_doc).parse(), &h);
-  if (h.kinds.at("hedge").completed_us.size() != 2 ||
-      h.kinds.count("probe") == 0 || h.kinds.count("quarantine") == 0) {
-    return fail("healing span kinds");
+  accumulate_document(Parser(recovery_doc).parse(), &h);
+  if (h.kinds.at("retry").completed_us.size() != 2 ||
+      h.kinds.count("replace") == 0) {
+    return fail("recovery span kinds");
   }
   if (gated_failed_spans(r, parse_gate_kinds("")) != 0) {
     return fail("default gate tripped on an injected-fault replay");

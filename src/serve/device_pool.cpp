@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <deque>
 #include <exception>
@@ -74,40 +73,18 @@ struct DevicePool::Impl {
   DevicePoolStats stats;
   std::vector<simt::DeviceSpec> specs;
   std::vector<char> active;  // 1 = accepting placements
-  /// 1 = circuit breaker open: the device's health score tripped the
-  /// quarantine floor. Distinct from !active (a drain is an operator
-  /// decision and permanent; quarantine is automatic and reversible) —
-  /// probes still execute on a quarantined device, never on a drained one.
-  std::vector<char> quarantined;
-  std::vector<std::uint64_t> probe_streak;  // consecutive probe successes
-  /// Whole placements since the device was last offered a probe.
-  std::vector<std::uint64_t> placements_since_probe;
   std::vector<std::shared_ptr<OperandCache>> caches;
   std::vector<std::uint64_t> executions;  // per-device, for FaultPlan::exact
   Rng fault_rng;
   std::uint64_t next_batch_id = 1;
   std::uint64_t rr_cursor = 0;  // round-robin tie-break cursor
   TraceLog traces;
-  /// Hedge copies whose task is posted but not yet claimed. The losing
-  /// copy's task can outlive its request's promise (the winner resolves
-  /// it), so shutdown must wait for these before the Impl dies — the core
-  /// only waits for promises. Guarded by `mutex`, signalled on claim.
-  std::size_t hedge_tasks = 0;
-  std::condition_variable hedge_cv;
   /// Open token streams (serve/session.hpp): id -> modeled full-length
   /// step cost. The summed load is what open_session admission compares
   /// against cfg.session_budget_seconds.
   std::unordered_map<std::uint64_t, double> session_cost;
   double session_load = 0.0;
   std::uint64_t next_session_id = 1;
-
-  /// Blocks until every posted hedge task has claimed (and, for a loser,
-  /// discarded) its ticket. Called after core.shutdown() — no new hedges
-  /// can appear once the core stops accepting work.
-  void wait_hedge_tasks() {
-    std::unique_lock<std::mutex> lock(mutex);
-    hedge_cv.wait(lock, [this] { return hedge_tasks == 0; });
-  }
 
   explicit Impl(const DevicePoolConfig& cfg)
       : fault_rng(cfg.fault_plan.seed),
@@ -152,19 +129,6 @@ struct DevicePool::Impl {
     std::exception_ptr error;
   };
 
-  /// Both copies of a hedged whole request share one HedgeState (all
-  /// fields guarded by the pool mutex). The race is decided at the FIRST
-  /// claim of either copy by comparing the copies' final modeled
-  /// completions — not by which ThreadPool task happened to start first —
-  /// so the winner set is a deterministic function of the modeled
-  /// schedule (asserted across repeated runs and fleet sizes by
-  /// tests/test_healing.cpp).
-  struct HedgeState {
-    std::uint64_t primary = 0;
-    std::uint64_t secondary = 0;
-    int winner = 0;  // 0 undecided, 1 primary, 2 secondary
-  };
-
   /// Work placed but not yet executing: the placement its ThreadPool task
   /// will claim when it starts running. Between registration and claim,
   /// drain_device's re-placement may rewrite the placement; the executing
@@ -175,26 +139,8 @@ struct DevicePool::Impl {
     Placement pl;
     bool is_slice = false;
     std::size_t slice = 0;
-    /// Hedge copy that lost the modeled race: its claim returns without
-    /// executing (clock already rolled back at decision time).
-    bool canceled = false;
-    /// Low-risk probe offered to a quarantined device: its outcome feeds
-    /// the reinstatement streak and its requeue is budget-free.
-    bool probe = false;
-    std::shared_ptr<HedgeState> hedge;    // set on both copies of a pair
     std::shared_ptr<ShardState> shard;    // slice tickets only
     std::shared_ptr<RequestTrace> trace;  // for `replace` spans
-    /// Whole-request executor context, attached after registration so a
-    /// re-placement that crosses the hedge fraction can spawn the
-    /// duplicate itself (null for slices).
-    std::shared_ptr<PendingRequest> item;
-    /// Distinct devices this request has faulted on (poison isolation);
-    /// shared across the request's retry chain, mutated under the pool
-    /// mutex.
-    std::shared_ptr<std::vector<std::size_t>> faulted;
-    std::size_t attempt = 0;
-    std::uint64_t batch_id = 0;
-    std::size_t batch_size = 0;
   };
   std::map<std::uint64_t, Ticket> tickets;  // guarded by the pool mutex
   std::uint64_t next_ticket_id = 1;
@@ -227,95 +173,27 @@ struct DevicePool::Impl {
   struct Claimed {
     Placement pl;
     bool injected = false;
-    /// This copy lost a hedge race on the modeled clock: do not execute
-    /// (no fault dice were rolled, no execution was counted; the winner
-    /// carries the promise).
-    bool canceled = false;
-    bool probe = false;   // ticket was a quarantine probe
-    bool hedged = false;  // ticket belonged to a hedged pair
     std::uint64_t execution = 0;
     std::shared_ptr<OperandCache> cache;
     simt::DeviceSpec spec;
   };
 
-  /// Decides a hedged pair: the copy with the earlier final modeled
-  /// completion wins (ties go to the primary), the loser is canceled — its
-  /// estimate rolls off its device's modeled clock and its claim returns
-  /// without executing. Both placements are read under the lock *now*, so
-  /// drains/quarantines that re-placed either copy since admission are
-  /// priced in; wall-clock claim order cannot change the outcome. Lock
-  /// held.
-  void decide_hedge_locked(HedgeState& h) {
-    const auto pit = tickets.find(h.primary);
-    const auto sit = tickets.find(h.secondary);
-    MAGICUBE_CHECK_MSG(pit != tickets.end() && sit != tickets.end(),
-                       "hedged pair decided with a copy already claimed");
-    Ticket& p = pit->second;
-    Ticket& s = sit->second;
-    h.winner = s.pl.start + s.pl.est < p.pl.start + p.pl.est ? 2 : 1;
-    if (h.winner == 2) stats.hedges_won += 1;
-    Ticket& loser = h.winner == 1 ? s : p;
-    loser.canceled = true;
-    stats.devices[loser.pl.device].placed -= 1;
-    stats.devices[loser.pl.device].modeled_busy_seconds -= loser.pl.est;
-    if (loser.trace) {
-      loser.trace->add_span(
-          TraceSpan("hedge", loser.pl.start, loser.pl.start,
-                    static_cast<int>(loser.pl.device))
-              .attr("action", "cancel")
-              .attr("winner", h.winner == 1 ? "primary" : "secondary"));
-    }
-  }
-
   /// Claims a ticket at execution start: reads its placement, removes it
   /// from the re-placement window (in-flight work is never moved), and
   /// rolls the fault-injection dice on the device it finally landed on.
-  /// For a hedged copy the first claim of the pair decides the race; a
-  /// losing copy's claim reports canceled instead of a placement.
   Claimed claim_ticket(std::uint64_t id) {
     Claimed c;
     std::lock_guard<std::mutex> lock(mutex);
     const auto it = tickets.find(id);
     MAGICUBE_CHECK_MSG(it != tickets.end(),
                        "DevicePool ticket " << id << " claimed twice");
-    Ticket& t = it->second;
-    if (t.hedge) {
-      c.hedged = true;
-      if (t.hedge->winner == 0) decide_hedge_locked(*t.hedge);
-    }
-    if (t.canceled) {
-      c.canceled = true;
-      tickets.erase(it);
-      // One claim per hedged pair lands here (the loser); shutdown blocks
-      // on this count so the lagging task never outlives the Impl.
-      hedge_tasks -= 1;
-      hedge_cv.notify_all();
-      return c;
-    }
-    c.pl = t.pl;
-    c.probe = t.probe;
+    c.pl = it->second.pl;
     tickets.erase(it);
     c.injected = inject_fault_locked(c.pl.device);
     c.execution = executions[c.pl.device];
     c.cache = caches[c.pl.device];
     c.spec = specs[c.pl.device];
     return c;
-  }
-
-  /// Attaches the whole-request executor context to a just-registered
-  /// ticket (the hedging and poison paths read it). Lock held.
-  void attach_context_locked(
-      std::uint64_t id, const std::shared_ptr<PendingRequest>& item,
-      const std::shared_ptr<std::vector<std::size_t>>& faulted,
-      std::size_t attempt, std::uint64_t batch_id, std::size_t batch_size) {
-    const auto it = tickets.find(id);
-    if (it == tickets.end()) return;
-    Ticket& t = it->second;
-    t.item = item;
-    t.faulted = faulted;
-    t.attempt = attempt;
-    t.batch_id = batch_id;
-    t.batch_size = batch_size;
   }
 
   std::size_t active_count_locked() const {
@@ -356,27 +234,14 @@ struct DevicePool::Impl {
   /// backlog. Exact ties — the idle-pool common case — are broken
   /// round-robin so bursts spread instead of piling onto device 0.
   /// `exclude` skips one device (retry placement). Returns false when no
-  /// active candidate exists. Quarantined devices are skipped first; when
-  /// the breaker has every active device open, the scan falls back to the
-  /// quarantined candidates — a degraded fleet still serves (and the "no
-  /// active device" error keeps meaning a genuinely drained pool). Lock
-  /// held.
+  /// active candidate exists. Lock held.
   bool choose_device_locked(const simt::KernelRun& run, std::ptrdiff_t exclude,
                             Placement* out) {
-    if (scan_devices_locked(run, exclude, /*allow_quarantined=*/false, out)) {
-      return true;
-    }
-    return scan_devices_locked(run, exclude, /*allow_quarantined=*/true, out);
-  }
-
-  bool scan_devices_locked(const simt::KernelRun& run, std::ptrdiff_t exclude,
-                           bool allow_quarantined, Placement* out) {
     double best = 0.0;
     double best_est = 0.0;
     std::vector<std::size_t> tied;
     for (std::size_t d = 0; d < specs.size(); ++d) {
-      if (active[d] == 0 || static_cast<std::ptrdiff_t>(d) == exclude ||
-          (!allow_quarantined && quarantined[d] != 0)) {
+      if (active[d] == 0 || static_cast<std::ptrdiff_t>(d) == exclude) {
         continue;
       }
       const double est = simt::estimate_seconds(specs[d], run);
@@ -413,143 +278,9 @@ struct DevicePool::Impl {
     return choose_device_locked(run, -1, out);
   }
 
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  /// Feeds one execution outcome on `dev` into the health EWMA (and, on
-  /// success, the completion-vs-estimate drift EWMA) and trips the circuit
-  /// breaker when the score falls below the configured floor with enough
-  /// samples behind it. Quarantining re-places the device's queued tickets
-  /// through the same path a drain uses. Lock held.
-  void score_execution_locked(std::size_t dev, bool ok, const Placement& pl,
-                              const std::shared_ptr<RequestTrace>& trace) {
-    const HealingConfig& h = owner->cfg_.healing;
-    if (!h.enabled) return;
-    DeviceStats& ds = stats.devices[dev];
-    ds.health =
-        (1.0 - h.health_alpha) * ds.health + (ok ? h.health_alpha : 0.0);
-    ds.health_samples += 1;
-    if (ok && pl.est > 0.0) {
-      ds.completion_ratio_ewma =
-          (1.0 - h.health_alpha) * ds.completion_ratio_ewma +
-          h.health_alpha * ((pl.start + pl.est) / pl.est);
-    }
-    if (quarantined[dev] == 0 && ds.health_samples >= h.min_health_samples &&
-        ds.health < h.quarantine_below) {
-      quarantined[dev] = 1;
-      stats.quarantines += 1;
-      probe_streak[dev] = 0;
-      placements_since_probe[dev] = 0;
-      if (trace) {
-        trace->add_span(
-            TraceSpan("quarantine", pl.start + pl.est, pl.start + pl.est,
-                      static_cast<int>(dev))
-                .attr("action", "enter")
-                .attr("health", fmt_seconds(ds.health)));
-      }
-      replace_queued_locked(dev);
-    }
-  }
-
-  /// Ticks every quarantined active device's probe clock and returns one
-  /// that is due a probe (lowest index wins when several are), or npos.
-  /// Called once per whole-request commit. Lock held.
-  std::size_t probe_tick_locked() {
-    const HealingConfig& h = owner->cfg_.healing;
-    if (!h.enabled) return npos;
-    std::size_t due = npos;
-    for (std::size_t d = 0; d < specs.size(); ++d) {
-      if (quarantined[d] == 0 || active[d] == 0) continue;
-      placements_since_probe[d] += 1;
-      if (due == npos && placements_since_probe[d] >= h.probe_interval) {
-        due = d;
-      }
-    }
-    return due;
-  }
-
-  /// A probe came back clean: extend the device's streak and reinstate it
-  /// after reinstate_after consecutive successes — breaker closed, health
-  /// and sample count reset so it re-arms fresh. Lock held.
-  void probe_success_locked(std::size_t dev, double at,
-                            const std::shared_ptr<RequestTrace>& trace) {
-    if (quarantined[dev] == 0) return;
-    probe_streak[dev] += 1;
-    stats.probe_successes += 1;
-    if (probe_streak[dev] >= owner->cfg_.healing.reinstate_after) {
-      quarantined[dev] = 0;
-      stats.reinstatements += 1;
-      probe_streak[dev] = 0;
-      placements_since_probe[dev] = 0;
-      stats.devices[dev].health = 1.0;
-      stats.devices[dev].health_samples = 0;
-      if (trace) {
-        trace->add_span(TraceSpan("quarantine", at, at,
-                                  static_cast<int>(dev))
-                            .attr("action", "reinstate"));
-      }
-    }
-  }
-
-  /// Drift check for a whole-request ticket: when hedging is on and the
-  /// ticket's modeled completion has crossed hedge_deadline_fraction of
-  /// its deadline, a duplicate is registered on the best alternative
-  /// device and both copies race on the modeled clock (the first claim
-  /// decides; see decide_hedge_locked). Called after admission and after
-  /// every re-placement that rewrote the ticket's completion. Lock held.
-  void maybe_hedge_locked(std::uint64_t id) {
-    const HealingConfig& h = owner->cfg_.healing;
-    if (!h.enabled || h.hedge_deadline_fraction <= 0.0) return;
-    const auto it = tickets.find(id);
-    if (it == tickets.end()) return;
-    Ticket& t = it->second;
-    if (t.is_slice || t.probe || t.canceled || t.hedge || !t.item) return;
-    const double deadline = t.item->req.deadline_seconds;
-    if (deadline <= 0.0) return;
-    if (t.pl.start + t.pl.est <= h.hedge_deadline_fraction * deadline) return;
-    Placement alt;
-    if (!choose_device_locked(t.run, static_cast<std::ptrdiff_t>(t.pl.device),
-                              &alt)) {
-      return;  // nowhere to duplicate to
-    }
-    auto hs = std::make_shared<HedgeState>();
-    hs->primary = id;
-    stats.devices[alt.device].placed += 1;
-    stats.devices[alt.device].modeled_busy_seconds += alt.est;
-    stats.hedges_placed += 1;
-    hedge_tasks += 1;  // the pair's losing task; released at its claim
-    const std::uint64_t sec = register_ticket_locked(t.run, alt, t.trace);
-    hs->secondary = sec;
-    // The map insert does not invalidate `it`/`t`.
-    Ticket& s = tickets.find(sec)->second;
-    s.hedge = hs;
-    s.item = t.item;
-    s.faulted = t.faulted;
-    s.attempt = t.attempt;
-    s.batch_id = t.batch_id;
-    s.batch_size = t.batch_size;
-    t.hedge = hs;
-    if (t.trace) {
-      t.trace->add_span(
-          TraceSpan("hedge", 0.0, alt.start, static_cast<int>(alt.device))
-              .attr("action", "place")
-              .attr("primary_device", std::to_string(t.pl.device))
-              .attr("est_seconds", fmt_seconds(alt.est)));
-    }
-    // Posting under the lock is safe: the worker that picks the task up
-    // blocks on this same mutex in claim_ticket until we release it.
-    ThreadPool::instance().post([this, item = s.item, sec,
-                                 attempt = s.attempt, run = s.run,
-                                 batch_id = s.batch_id,
-                                 batch_size = s.batch_size,
-                                 faulted = s.faulted] {
-      run_single(item, sec, attempt, run, batch_id, batch_size, faulted);
-    });
-  }
-
   struct CommitResult {
     bool placed = false;
     bool shed = false;  // deadline unmet on every active candidate
-    bool probe = false;  // placed as a quarantine probe
     bool affinity_hit = false;
     /// Modeled completion: committed placement's start + est, or the best
     /// candidate's when shed.
@@ -566,35 +297,6 @@ struct DevicePool::Impl {
                             const std::shared_ptr<RequestTrace>& trace) {
     CommitResult out;
     std::lock_guard<std::mutex> lock(mutex);
-    // Probe offer: every whole-request commit ticks the quarantined
-    // devices' probe clocks; a deadline-free request due at a quarantined
-    // device is routed there as the low-risk probe whose outcome feeds the
-    // reinstatement streak (deadline traffic is never risked on a
-    // suspect device).
-    const std::size_t probe_dev = probe_tick_locked();
-    if (probe_dev != npos && deadline <= 0.0) {
-      Placement pl;
-      pl.device = probe_dev;
-      pl.est = simt::estimate_seconds(specs[probe_dev], run);
-      pl.start = stats.devices[probe_dev].modeled_busy_seconds;
-      placements_since_probe[probe_dev] = 0;
-      stats.probes_placed += 1;
-      stats.devices[probe_dev].placed += 1;
-      stats.devices[probe_dev].modeled_busy_seconds += pl.est;
-      out.placed = true;
-      out.probe = true;
-      out.completion = pl.start + pl.est;
-      out.pl = pl;
-      out.ticket = register_ticket_locked(run, pl, trace);
-      tickets.find(out.ticket)->second.probe = true;
-      if (trace) {
-        trace->add_span(
-            TraceSpan("probe", pl.start, pl.start,
-                      static_cast<int>(probe_dev))
-                .attr("streak", std::to_string(probe_streak[probe_dev])));
-      }
-      return out;
-    }
     Placement best;
     if (!choose_device_locked(run, -1, &best)) return out;
     const double best_completion = best.start + best.est;
@@ -670,9 +372,8 @@ struct DevicePool::Impl {
   /// its drained target and executes exactly as before the drain. Lock
   /// held.
   void replace_queued_locked(std::size_t d) {
-    std::vector<std::uint64_t> moved;
     for (auto& [id, t] : tickets) {
-      if (t.pl.device != d || t.canceled) continue;
+      if (t.pl.device != d) continue;
       Placement np;
       if (!choose_device_locked(t.run, -1, &np)) break;  // no survivor
       const Placement old = t.pl;
@@ -700,7 +401,6 @@ struct DevicePool::Impl {
       }
       t.pl = np;
       stats.replaced += 1;
-      moved.push_back(id);
       if (t.trace) {
         TraceSpan span("replace", old.start, np.start,
                        static_cast<int>(np.device));
@@ -709,10 +409,6 @@ struct DevicePool::Impl {
         t.trace->add_span(std::move(span));
       }
     }
-    // A re-placement that pushed a deadline ticket past the hedge fraction
-    // spawns its duplicate now (outside the iteration: hedging registers
-    // new tickets into the map being walked above).
-    for (const std::uint64_t id : moved) maybe_hedge_locked(id);
   }
 
   void complete(bool failed) {
@@ -850,8 +546,7 @@ struct DevicePool::Impl {
     }
     // A fused graph never shards: its stages share one arena (the point of
     // fusion is that the intermediates are never materialized for anyone
-    // else), so the DAG places whole — retries and hedges re-run it whole,
-    // bit-exactly.
+    // else), so the DAG places whole — retries re-run it whole, bit-exactly.
     if (!req.graph && active_devices > 1 &&
         cfg.shard_threshold_seconds > 0 &&
         est_ref > cfg.shard_threshold_seconds) {
@@ -905,21 +600,10 @@ struct DevicePool::Impl {
               .attr("affinity", cr.affinity_hit ? "true" : "false"));
     }
     auto item = std::make_shared<PendingRequest>(std::move(p));
-    auto faulted = std::make_shared<std::vector<std::size_t>>();
     const std::uint64_t ticket = cr.ticket;
-    {
-      // The ticket cannot have been claimed yet (its task posts below),
-      // so the context lands before any execution reads it; an admission
-      // already past the hedge fraction spawns its duplicate here.
-      std::lock_guard<std::mutex> lock(mutex);
-      attach_context_locked(ticket, item, faulted, /*attempt=*/0, batch_id,
-                            batch_size);
-      maybe_hedge_locked(ticket);
-    }
     ThreadPool::instance().post([this, item, ticket, run, batch_id,
-                                 batch_size, faulted] {
-      run_single(item, ticket, /*attempt=*/0, run, batch_id, batch_size,
-                 faulted);
+                                 batch_size] {
+      run_single(item, ticket, /*attempt=*/0, run, batch_id, batch_size);
     });
     return deadline > 0.0 && cr.completion > 0.5 * deadline;
   }
@@ -927,18 +611,10 @@ struct DevicePool::Impl {
   void run_single(const std::shared_ptr<PendingRequest>& item,
                   std::uint64_t ticket, std::size_t attempt,
                   const simt::KernelRun& run, std::uint64_t batch_id,
-                  std::size_t batch_size,
-                  const std::shared_ptr<std::vector<std::size_t>>& faulted =
-                      nullptr) {
+                  std::size_t batch_size) {
     // The claim reads the final placement: drain_device may have re-priced
     // this work onto a surviving device since it was committed.
     const Claimed c = claim_ticket(ticket);
-    if (c.canceled) {
-      // This hedge copy lost the modeled race; the winner carries the
-      // promise and the loser's clock charge was rolled back at decision
-      // time — nothing to do here.
-      return;
-    }
     const Placement pl = c.pl;
     const std::size_t dev = pl.device;
     const bool injected = c.injected;
@@ -965,17 +641,9 @@ struct DevicePool::Impl {
       resp.batch_size = batch_size;
       resp.retries = attempt;
       resp.modeled_completion_seconds = pl.start + pl.est;
-      resp.hedged = c.hedged;
       {
-        // Score (and possibly reinstate) before the trace is finalized:
-        // once the promise resolves the trace must be quiescent, and a
-        // probe success may append a `quarantine` reinstate span.
         std::lock_guard<std::mutex> lock(mutex);
         stats.devices[dev].completed += 1;
-        score_execution_locked(dev, /*ok=*/true, pl, item->trace);
-        if (c.probe) {
-          probe_success_locked(dev, pl.start + pl.est, item->trace);
-        }
       }
       if (item->trace) {
         item->trace->add_span(
@@ -1030,42 +698,17 @@ struct DevicePool::Impl {
               .attr("error", describe_exception(err)));
     }
     const double deadline = item->req.deadline_seconds;
-    // A failed probe requeues budget-free: the probe offer promised the
-    // request "low risk", so the quarantined device's fault must not eat
-    // into its max_retries (and does not mark it poisoned either).
-    const bool free_requeue = c.probe;
-    const std::size_t next_attempt = free_requeue ? attempt : attempt + 1;
+    const std::size_t next_attempt = attempt + 1;
     Placement next;
     bool requeue = false;
     bool shed = false;
-    bool poison = false;
     double shed_completion = 0.0;
     std::uint64_t next_ticket = 0;
     {
       std::lock_guard<std::mutex> lock(mutex);
       stats.devices[dev].completed += 1;
       stats.devices[dev].modeled_busy_seconds -= pl.est;
-      score_execution_locked(dev, /*ok=*/false, pl, item->trace);
-      const HealingConfig& h = owner->cfg_.healing;
-      if (c.probe) {
-        probe_streak[dev] = 0;
-        placements_since_probe[dev] = 0;
-      } else if (h.enabled && h.poison_fault_devices > 0 && faulted) {
-        // Poison isolation: once the request has faulted on enough
-        // *distinct* devices the faults correlate with the request, not
-        // the fleet — fail fast instead of spending the rest of the
-        // budget dragging more health scores down.
-        if (std::find(faulted->begin(), faulted->end(), dev) ==
-            faulted->end()) {
-          faulted->push_back(dev);
-        }
-        if (faulted->size() >= h.poison_fault_devices) {
-          poison = true;
-          stats.poison_failures += 1;
-        }
-      }
-      if (!poison &&
-          (free_requeue || attempt < owner->cfg_.max_retries) &&
+      if (attempt < owner->cfg_.max_retries &&
           choose_retry_device_locked(run, dev, &next)) {
         // The request's timeline is monotone: the retry bridges from the
         // failed attempt's modeled end to the new device's backlog (or is
@@ -1082,20 +725,8 @@ struct DevicePool::Impl {
           stats.devices[next.device].placed += 1;
           stats.devices[next.device].modeled_busy_seconds += next.est;
           next_ticket = register_ticket_locked(run, next, item->trace);
-          attach_context_locked(next_ticket, item, faulted, next_attempt,
-                                batch_id, batch_size);
-          maybe_hedge_locked(next_ticket);
         }
       }
-    }
-    if (poison) {
-      fail_request(*item, std::make_exception_ptr(PoisonError(
-                              "poison request: faulted on " +
-                              std::to_string(owner->cfg_.healing
-                                                 .poison_fault_devices) +
-                              " distinct devices, failing fast: " +
-                              describe_exception(err))));
-      return;
     }
     if (requeue) {
       if (item->trace) {
@@ -1107,9 +738,9 @@ struct DevicePool::Impl {
                 .attr("from_device", std::to_string(dev)));
       }
       ThreadPool::instance().post([this, item, next_ticket, next_attempt,
-                                   run, batch_id, batch_size, faulted] {
+                                   run, batch_id, batch_size] {
         run_single(item, next_ticket, next_attempt, run, batch_id,
-                   batch_size, faulted);
+                   batch_size);
       });
       return;
     }
@@ -1184,15 +815,8 @@ struct DevicePool::Impl {
                         static_cast<int>(cr.pl.device))
                   .attr("est_seconds", fmt_seconds(cr.pl.est)));
         }
-        auto faulted = std::make_shared<std::vector<std::size_t>>();
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          attach_context_locked(cr.ticket, item, faulted, /*attempt=*/0,
-                                batch_id, batch_size);
-          maybe_hedge_locked(cr.ticket);
-        }
         run_single(item, cr.ticket, /*attempt=*/0, run, batch_id,
-                   batch_size, faulted);
+                   batch_size);
         return;
       }
 
@@ -1380,19 +1004,12 @@ struct DevicePool::Impl {
       fail_request(st->pending, std::current_exception());
       return;
     }
-    // Each slice tracks its own distinct-fault-device set: a slice is the
-    // retry unit, so poison isolation reasons per slice.
-    std::vector<std::shared_ptr<std::vector<std::size_t>>> slice_faults(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      slice_faults[i] = std::make_shared<std::vector<std::size_t>>();
-    }
     for (std::size_t i = 1; i < n; ++i) {
       const std::uint64_t tk = slice_tickets[i];
-      const auto fv = slice_faults[i];
       ThreadPool::instance().post(
-          [this, st, i, tk, fv] { run_slice(st, i, tk, /*attempt=*/0, fv); });
+          [this, st, i, tk] { run_slice(st, i, tk, /*attempt=*/0); });
     }
-    run_slice(st, 0, slice_tickets[0], /*attempt=*/0, slice_faults[0]);
+    run_slice(st, 0, slice_tickets[0], /*attempt=*/0);
   }
 
   std::shared_ptr<OperandCache> cache_for(std::size_t dev) {
@@ -1401,9 +1018,7 @@ struct DevicePool::Impl {
   }
 
   void run_slice(const std::shared_ptr<ShardState>& st, std::size_t i,
-                 std::uint64_t ticket, std::size_t attempt,
-                 const std::shared_ptr<std::vector<std::size_t>>& faulted =
-                     nullptr) {
+                 std::uint64_t ticket, std::size_t attempt) {
     // As for whole requests: the claim reads the final placement, which a
     // drain may have re-priced onto a surviving device.
     const Claimed c = claim_ticket(ticket);
@@ -1447,7 +1062,6 @@ struct DevicePool::Impl {
         std::lock_guard<std::mutex> lock(mutex);
         stats.devices[dev].completed += 1;
         st->placements[i] = pl;
-        score_execution_locked(dev, /*ok=*/true, pl, st->pending.trace);
       }
       if (st->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         finish_shard(st);
@@ -1468,7 +1082,6 @@ struct DevicePool::Impl {
     }
     Placement next;
     bool requeue = false;
-    bool poison = false;
     std::uint64_t next_ticket = 0;
     {
       std::lock_guard<std::mutex> lock(mutex);
@@ -1477,16 +1090,7 @@ struct DevicePool::Impl {
       if (dev < st->per_device_busy.size()) {
         st->per_device_busy[dev] -= pl.est;
       }
-      score_execution_locked(dev, /*ok=*/false, pl, st->pending.trace);
-      const HealingConfig& h = owner->cfg_.healing;
-      if (h.enabled && h.poison_fault_devices > 0 && faulted) {
-        if (std::find(faulted->begin(), faulted->end(), dev) ==
-            faulted->end()) {
-          faulted->push_back(dev);
-        }
-        poison = faulted->size() >= h.poison_fault_devices;
-      }
-      if (!poison && attempt < owner->cfg_.max_retries &&
+      if (attempt < owner->cfg_.max_retries &&
           choose_retry_device_locked(st->runs[i], dev, &next)) {
         if (next.start < fail_end) next.start = fail_end;
         requeue = true;
@@ -1514,36 +1118,9 @@ struct DevicePool::Impl {
                 .attr("attempt", std::to_string(attempt + 1))
                 .attr("from_device", std::to_string(dev)));
       }
-      ThreadPool::instance().post([this, st, i, next_ticket, attempt,
-                                   faulted] {
-        run_slice(st, i, next_ticket, attempt + 1, faulted);
+      ThreadPool::instance().post([this, st, i, next_ticket, attempt] {
+        run_slice(st, i, next_ticket, attempt + 1);
       });
-      return;
-    }
-    if (poison) {
-      err = std::make_exception_ptr(PoisonError(
-          "poison request: shard slice " + std::to_string(i) +
-          " faulted on " +
-          std::to_string(owner->cfg_.healing.poison_fault_devices) +
-          " distinct devices, failing fast: " + describe_exception(err)));
-      bool won = false;
-      {
-        std::lock_guard<std::mutex> lock(st->error_mutex);
-        if (!st->error) {
-          st->error = err;
-          won = true;
-        }
-      }
-      // Count at most one poison failure per request: only the slice that
-      // actually poisons the shard's error slot records it. The pool mutex
-      // is taken after error_mutex released — never nested inside it.
-      if (won) {
-        std::lock_guard<std::mutex> lock(mutex);
-        stats.poison_failures += 1;
-      }
-      if (st->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        finish_shard(st);
-      }
       return;
     }
     if (attempt >= owner->cfg_.max_retries) {
@@ -1677,16 +1254,12 @@ DevicePool::DevicePool(DevicePoolConfig cfg)
     MAGICUBE_CHECK_MSG(w.probability >= 0.0 && w.probability <= 1.0,
                        "FaultPlan window probability must lie in [0, 1]");
   }
-  cfg_.healing.validate();
   impl_->owner = this;
   impl_->warmup_pins = OperandCache::PinScope(plan_cache_);
   impl_->specs = std::move(specs);
   const std::size_t n = impl_->specs.size();
   impl_->active.assign(n, 1);
   impl_->executions.assign(n, 0);
-  impl_->quarantined.assign(n, 0);
-  impl_->probe_streak.assign(n, 0);
-  impl_->placements_since_probe.assign(n, 0);
   impl_->caches.reserve(n);
   for (std::size_t d = 0; d < n; ++d) {
     impl_->caches.push_back(
@@ -1703,10 +1276,7 @@ DevicePool::DevicePool(DevicePoolConfig cfg)
   });
 }
 
-DevicePool::~DevicePool() {
-  impl_->core.shutdown();
-  impl_->wait_hedge_tasks();
-}
+DevicePool::~DevicePool() { impl_->core.shutdown(); }
 
 std::future<Response> DevicePool::submit(Request req) {
   return impl_->core.submit(std::move(req));
@@ -1714,19 +1284,13 @@ std::future<Response> DevicePool::submit(Request req) {
 
 void DevicePool::drain() { impl_->core.drain(); }
 
-void DevicePool::shutdown() {
-  impl_->core.shutdown();
-  impl_->wait_hedge_tasks();
-}
+void DevicePool::shutdown() { impl_->core.shutdown(); }
 
 std::size_t DevicePool::add_device(const simt::DeviceSpec& spec) {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   impl_->specs.push_back(spec);
   impl_->active.push_back(1);
   impl_->executions.push_back(0);
-  impl_->quarantined.push_back(0);
-  impl_->probe_streak.push_back(0);
-  impl_->placements_since_probe.push_back(0);
   impl_->caches.push_back(
       std::make_shared<OperandCache>(cfg_.cache_capacity_bytes));
   impl_->stats.devices.emplace_back();
@@ -1779,18 +1343,6 @@ OperandCache& DevicePool::device_cache(std::size_t d) {
 }
 
 const TraceLog& DevicePool::traces() const { return impl_->traces; }
-
-double DevicePool::device_health(std::size_t d) const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  MAGICUBE_CHECK(d < impl_->stats.devices.size());
-  return impl_->stats.devices[d].health;
-}
-
-bool DevicePool::device_quarantined(std::size_t d) const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  MAGICUBE_CHECK(d < impl_->quarantined.size());
-  return impl_->quarantined[d] != 0;
-}
 
 DevicePoolStats DevicePool::stats() const {
   DevicePoolStats out;

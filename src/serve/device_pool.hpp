@@ -54,27 +54,8 @@
 // delta stays under the tolerance. When a device drains mid-backlog, the
 // cost model re-prices its queued (not yet executing) work onto the
 // surviving devices (`replace` trace spans) instead of finishing it on the
-// leaving device.
-//
-// Self-healing (cfg.healing; serve/sla.hpp's HealingConfig): every
-// execution outcome feeds a per-device health EWMA (DeviceStats::health,
-// with a completion-vs-estimate drift EWMA beside it as telemetry). A
-// device whose score falls below the configured floor is *quarantined* —
-// removed from placement candidates, its queued tickets re-placed exactly
-// as a drain re-places them — then periodically offered low-risk probe
-// executions and reinstated after K consecutive successes. Deadline
-// traffic drifting past hedge_deadline_fraction of its budget gets a
-// duplicate placed on the best alternative device; the copies race on the
-// *modeled* clock (the first claim decides by comparing final modeled
-// completions, so the winner set is deterministic regardless of wall-clock
-// interleaving) and the loser rolls off unexecuted, pins released. A
-// request that faults on poison_fault_devices distinct devices fails fast
-// with PoisonError instead of spending its remaining retry budget
-// degrading more health scores. Pool-initiated re-placements (drain or
-// quarantine re-pricing, failed probes, canceled hedge copies) never
-// consume max_retries — only genuine/injected fault attempts do. All of it
-// is off by default (healing.enabled = false) and gated end-to-end by
-// bench/chaos_soak.cpp.
+// leaving device; a re-placement is not a retry and consumes no
+// max_retries.
 //
 // Tracing: every request carries a RequestTrace (serve/trace.hpp) of
 // queue → price → place → [shard] → replay → [retry] → merge spans over
@@ -161,10 +142,6 @@ struct DevicePoolConfig {
   /// the pressure clears. Modeled-latency-driven cadence instead of a
   /// static knob; counted as urgent_rounds.
   bool adaptive_linger = true;
-  /// Self-healing policy: health scoring, quarantine + probe recovery,
-  /// hedged execution and poison isolation (serve/sla.hpp). Disabled by
-  /// default — the pre-healing placement behavior is bit-identical.
-  HealingConfig healing;
   /// Token-stream admission budget (serve/session.hpp): the sum of modeled
   /// full-length step costs (price_session_step_seconds on the reference
   /// `device` spec) across open sessions may not exceed this. open_session
@@ -179,29 +156,12 @@ struct DeviceStats {
   std::uint64_t shard_slices = 0;  // row slices executed on this device
   std::uint64_t completed = 0;     // placed requests + slices finished
   double modeled_busy_seconds = 0.0;  // accumulated cost-model time
-  /// Health EWMA over execution outcomes (1.0 = never seen a failure;
-  /// reset to 1.0 on reinstatement). Only maintained when cfg.healing is
-  /// enabled; the quarantine breaker trips on this score.
-  double health = 1.0;
-  /// Outcomes behind the current health score (reset on reinstatement).
-  std::uint64_t health_samples = 0;
-  /// EWMA of modeled completion / bare estimate on successful executions —
-  /// how much backlog inflates this device's latencies (1.0 = always
-  /// idle). Telemetry beside the breaker, not a trip input.
-  double completion_ratio_ewma = 1.0;
 
   DeviceStats& operator+=(const DeviceStats& o) {
     placed += o.placed;
     shard_slices += o.shard_slices;
     completed += o.completed;
     modeled_busy_seconds += o.modeled_busy_seconds;
-    // Aggregating fleets keeps the pessimistic view: the worst health and
-    // the largest drift.
-    if (o.health < health) health = o.health;
-    health_samples += o.health_samples;
-    if (o.completion_ratio_ewma > completion_ratio_ewma) {
-      completion_ratio_ewma = o.completion_ratio_ewma;
-    }
     return *this;
   }
   friend bool operator==(const DeviceStats&, const DeviceStats&) = default;
@@ -223,13 +183,6 @@ struct DevicePoolStats {
   std::uint64_t replaced = 0;          // queued work re-priced off a drain
   std::uint64_t affinity_hits = 0;     // placements upgraded by affinity
   std::uint64_t urgent_rounds = 0;     // dispatch rounds under SLA pressure
-  std::uint64_t quarantines = 0;       // circuit-breaker trips
-  std::uint64_t reinstatements = 0;    // probe-driven recoveries (⊆ trips)
-  std::uint64_t probes_placed = 0;     // low-risk probes offered
-  std::uint64_t probe_successes = 0;   // probes that came back clean
-  std::uint64_t hedges_placed = 0;     // hedge duplicates placed
-  std::uint64_t hedges_won = 0;        // races the duplicate copy won
-  std::uint64_t poison_failures = 0;   // PoisonError fast-fails (⊆ failed)
   std::uint64_t graph_requests = 0;    // fused attention DAGs placed whole
   std::uint64_t sessions_opened = 0;   // token streams admitted
   std::uint64_t sessions_closed = 0;   // token streams released
@@ -250,13 +203,6 @@ struct DevicePoolStats {
     replaced += o.replaced;
     affinity_hits += o.affinity_hits;
     urgent_rounds += o.urgent_rounds;
-    quarantines += o.quarantines;
-    reinstatements += o.reinstatements;
-    probes_placed += o.probes_placed;
-    probe_successes += o.probe_successes;
-    hedges_placed += o.hedges_placed;
-    hedges_won += o.hedges_won;
-    poison_failures += o.poison_failures;
     graph_requests += o.graph_requests;
     sessions_opened += o.sessions_opened;
     sessions_closed += o.sessions_closed;
@@ -344,12 +290,6 @@ class DevicePool {
   std::size_t active_device_count() const;
   simt::DeviceSpec device_spec(std::size_t d) const;
   bool device_active(std::size_t d) const;
-  /// Device d's current health score (1.0 when healing is disabled — no
-  /// outcome ever updates it).
-  double device_health(std::size_t d) const;
-  /// Whether the circuit breaker currently holds device d out of normal
-  /// placement (probes still reach it).
-  bool device_quarantined(std::size_t d) const;
 
   /// Device d's operand cache (prepared operands and row slices).
   OperandCache& device_cache(std::size_t d);

@@ -4,7 +4,7 @@
 // A FaultPlan makes modeled devices fail on purpose so the recovery path
 // (clock rollback, pin release, requeue to a surviving device, bounded
 // retry budget) is exercised by ordinary tests instead of waiting for a
-// production incident. Two trigger shapes compose:
+// production incident. Three trigger shapes compose:
 //
 //   - exact: "the Nth kernel execution on device D fails" — fully
 //     deterministic, for pinpoint tests of a single retry or an exhausted
@@ -15,7 +15,7 @@
 //     property/soak tiers sweep over 0–30%;
 //   - windowed: a per-device probability active only for a range of that
 //     device's execution counts — how the chaos soak models a device that
-//     degrades and later recovers (fail 40% of device 0's first N
+//     degrades and later recovers (fail 45% of device 0's first N
 //     executions, then return to the global background rate). The
 //     effective probability of an execution is the max of the global rate
 //     and every matching window.
@@ -68,17 +68,6 @@ struct FaultPlan {
 /// failure handling (promise exceptions, retry-budget messages) treats it
 /// like any execution failure.
 class FaultError : public Error {
- public:
-  using Error::Error;
-};
-
-/// Thrown (on the request's future) when poison-request isolation trips: a
-/// request that faulted on `HealingConfig::poison_fault_devices` *distinct*
-/// devices is failed fast instead of burning the rest of its retry budget
-/// — the faults correlate with the request, not the fleet, and every extra
-/// attempt would only drag another device's health score down. Derives
-/// Error; catch it specifically to route bad inputs away from retry paths.
-class PoisonError : public Error {
  public:
   using Error::Error;
 };

@@ -105,13 +105,6 @@ struct Response {
   /// modeled timeline — what deadline admission compared against
   /// Request::deadline_seconds. 0 when not served through a pool.
   double modeled_completion_seconds = 0.0;
-  /// DevicePool self-healing (HealingConfig::hedge_deadline_fraction):
-  /// true when a hedge duplicate was placed for this request because its
-  /// modeled completion drifted past the configured fraction of its
-  /// deadline. `device` reports whichever copy won the modeled race (the
-  /// loser rolled off the clock unexecuted; outputs are bit-exact either
-  /// way).
-  bool hedged = false;
   /// Structured per-request trace (serve/trace.hpp); set when the serving
   /// engine collects traces, null for direct serve_request calls.
   std::shared_ptr<const RequestTrace> trace;

@@ -4,20 +4,6 @@
 
 namespace magicube::serve {
 
-void HealingConfig::validate() const {
-  MAGICUBE_CHECK_MSG(health_alpha > 0.0 && health_alpha <= 1.0,
-                     "HealingConfig::health_alpha must lie in (0, 1]");
-  MAGICUBE_CHECK_MSG(quarantine_below >= 0.0 && quarantine_below <= 1.0,
-                     "HealingConfig::quarantine_below must lie in [0, 1]");
-  MAGICUBE_CHECK_MSG(
-      hedge_deadline_fraction >= 0.0 && hedge_deadline_fraction <= 1.0,
-      "HealingConfig::hedge_deadline_fraction must lie in [0, 1]");
-  MAGICUBE_CHECK_MSG(probe_interval > 0,
-                     "HealingConfig::probe_interval must be positive");
-  MAGICUBE_CHECK_MSG(reinstate_after > 0,
-                     "HealingConfig::reinstate_after must be positive");
-}
-
 simt::KernelRun price_request(const Request& req, OperandCache& plans) {
   // A fused graph prices as one merged run over all its stages; the
   // wrapper's operand slots are intentionally null.

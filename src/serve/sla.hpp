@@ -20,14 +20,7 @@
 //     + width per entry), pre-built into a plan cache at startup and
 //     optionally pinned against LRU eviction via the existing PinScope —
 //     repeat-pattern traffic starts with plan hits instead of paying
-//     pure-LRU cold starts;
-//   - HealingConfig: the self-healing policy knobs of the DevicePool —
-//     per-device health scoring (an EWMA over execution outcomes),
-//     circuit-breaker quarantine with probe-driven reinstatement, hedged
-//     execution for deadline traffic drifting toward its budget, and
-//     poison-request isolation. The machinery lives in
-//     serve/device_pool.cpp; this is its policy surface, beside the other
-//     SLA knobs because both reason on the same modeled-price signal.
+//     pure-LRU cold starts.
 //
 // DevicePool consumes this layer: DevicePool::warmup and the deadline-aware
 // dispatcher (serve/device_pool.hpp).
@@ -52,50 +45,6 @@ namespace magicube::serve {
 class ShedError : public Error {
  public:
   using Error::Error;
-};
-
-/// Self-healing policy of a DevicePool. Disabled by default: with
-/// enabled=false the fleet behaves exactly as before this layer existed
-/// (no scoring, no quarantine, no hedging, no poison fast-fail), which is
-/// what keeps the pre-healing schedules — and the trace golden file —
-/// byte-identical.
-///
-/// Health is an EWMA over per-device execution outcomes,
-///   health' = (1 - health_alpha) * health + health_alpha * [ok],
-/// starting at 1.0. A device whose score falls below quarantine_below
-/// (with at least min_health_samples outcomes behind it) is quarantined:
-/// removed from placement candidates, its queued tickets re-placed via the
-/// drain re-placement path. Every probe_interval placements, a quarantined
-/// device is offered one low-risk probe (a deadline-free whole request);
-/// reinstate_after consecutive probe successes close the breaker and reset
-/// the score. Should every active device end up quarantined, placement
-/// falls back to the quarantined candidates — the breaker degrades, it
-/// never deadlocks the fleet.
-struct HealingConfig {
-  bool enabled = false;
-  /// EWMA weight of the newest outcome, in (0, 1].
-  double health_alpha = 0.3;
-  /// Quarantine a device when health < this threshold, in [0, 1].
-  double quarantine_below = 0.5;
-  /// Outcomes a device must have produced before the breaker may trip.
-  std::uint64_t min_health_samples = 4;
-  /// Whole placements between probe offers to a quarantined device.
-  std::uint64_t probe_interval = 8;
-  /// Consecutive probe successes that reinstate a quarantined device.
-  std::uint64_t reinstate_after = 3;
-  /// Hedged execution: when > 0, a deadline-carrying whole request whose
-  /// modeled completion exceeds this fraction of its deadline (at
-  /// admission or after a re-placement) gets a duplicate on the best
-  /// alternative device; the copy with the earlier modeled completion
-  /// wins, the loser rolls off the modeled clock unexecuted. 0 disables.
-  double hedge_deadline_fraction = 0.0;
-  /// Fail a request fast (PoisonError) once it has faulted on this many
-  /// distinct devices. 0 disables poison isolation.
-  std::size_t poison_fault_devices = 2;
-
-  /// Throws Error on out-of-range knobs (DevicePool validates at
-  /// construction).
-  void validate() const;
 };
 
 /// Prices a request without executing (or caching) anything: the cached

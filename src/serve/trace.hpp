@@ -13,17 +13,10 @@
 // deadline — carries deadline_seconds/modeled_completion_seconds attrs) and
 // `replace` (queued work re-priced onto a surviving device after
 // drain_device removed its target — bridges the old placement start to the
-// new one, from_device attr). The self-healing layer adds three more kinds:
-// `hedge` (action="place" covers the duplicate copy's queue window on the
-// alternative device; action="cancel" marks the copy that lost the modeled
-// race and rolled off the clock), `probe` (a low-risk execution offered to
-// a quarantined device, zero-width at its placement start), and
-// `quarantine` (action="enter"|"reinstate" — the circuit breaker opening on
-// a health-score trip and closing after consecutive probe successes).
-// Spans carry the device id and key/value attributes
-// (cache hit flags, estimates, fault markers), enough to reconstruct from a
-// CI artifact alone why a soak run placed, sharded, retried or failed a
-// request — the observability half of ROADMAP item 5.
+// new one, from_device attr). Spans carry the device id and key/value
+// attributes (cache hit flags, estimates, fault markers), enough to
+// reconstruct from a CI artifact alone why a soak run placed, sharded,
+// retried or failed a request — the observability half of ROADMAP item 5.
 //
 // Invariants the schema tests assert (tests/test_trace.cpp):
 //   - spans sorted by begin nest within [0, total_modeled_seconds],
@@ -52,7 +45,7 @@ namespace magicube::serve {
 /// ordered string pairs so the JSON form is deterministic.
 struct TraceSpan {
   std::string name;  // queue|price|place|shard|replay|merge|retry|shed|
-                     // replace|hedge|probe|quarantine
+                     // replace
   double begin_seconds = 0.0; // modeled, relative to the request's admission
   double end_seconds = 0.0;
   int device = -1;            // -1: not tied to one device

@@ -569,6 +569,9 @@ TEST(SlaReplace, DrainRepricesQueuedWorkOntoSurvivors) {
   cfg.device_count = 2;
   cfg.shard_threshold_seconds = 0;
   cfg.linger = std::chrono::microseconds(50);
+  // A drain re-placement is pool-initiated, not a fault: it must not
+  // consume retry budget, so a zero budget still serves every request.
+  cfg.max_retries = 0;
   DevicePool pool(cfg);
 
   WorkerJam jam;  // placements register tickets; no task claims one yet
@@ -604,17 +607,58 @@ TEST(SlaReplace, DrainRepricesQueuedWorkOntoSurvivors) {
     const Response resp = f.get();
     expect_same_result(resp, want, "replaced");
     EXPECT_EQ(resp.device, 0);  // the claim reads the final placement
+    EXPECT_EQ(resp.retries, 0u);
   }
   pool.drain();  // counters land just before the drain gate opens
   const DevicePoolStats done = pool.stats();
   EXPECT_EQ(done.devices[1].completed, 0u);
   EXPECT_EQ(done.devices[0].completed, 8u);
+  EXPECT_EQ(done.retries, 0u);
+  EXPECT_EQ(done.failed, 0u);
   // Observable, not silent: each moved request's trace bridges the move.
   std::size_t traced_moves = 0;
   for (const auto& t : pool.traces().snapshot()) {
     if (has_span(*t, "replace")) traced_moves += 1;
   }
   EXPECT_EQ(traced_moves, on_drained);
+}
+
+// Drain re-placement is pool-initiated, not a fault, so it must not
+// consume retry budget: the one queued request moves from the fast part to
+// the edge part and is served there with a zero budget.
+TEST(HealingRetryBudget, DrainReplacementConsumesNoBudget) {
+  const Problem p =
+      make_spmm_problem(128, 64, 64, 8, 0.5, precision::L8R8, 9701);
+  DevicePoolConfig cfg;
+  cfg.devices = {simt::a100(), simt::edge()};
+  cfg.shard_threshold_seconds = 0;
+  cfg.max_retries = 0;  // any consumed retry would fail the request
+  cfg.linger = std::chrono::seconds(2);
+  cfg.max_queue_depth = 1;
+  DevicePool pool(cfg);
+
+  WorkerJam jam;
+  auto fut = pool.submit(to_request(p));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (true) {
+    const DevicePoolStats st = pool.stats();
+    if (st.devices[0].placed + st.devices[1].placed == 1) break;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "request never placed";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  pool.drain_device(0);  // re-places the queued ticket onto the edge part
+  jam.release();
+
+  const Response got = fut.get();
+  expect_same_result(got, sequential_reference(p), "re-placed request");
+  EXPECT_EQ(got.device, 1);
+  EXPECT_EQ(got.retries, 0u);
+  const DevicePoolStats st = pool.stats();
+  EXPECT_EQ(st.replaced, 1u);
+  EXPECT_EQ(st.retries, 0u);
+  EXPECT_EQ(st.failed, 0u);
 }
 
 TEST(SlaReplace, NoSurvivorKeepsQueuedWorkOnDrainedDevice) {
