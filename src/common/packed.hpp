@@ -6,7 +6,9 @@
 // same way. PackedBuffer owns a byte array and exposes get/set at a given
 // bit width (4, 8, 12 or 16, matching common/precision.hpp); 4-bit elements
 // are packed low-nibble-first within each byte exactly as the PTX mma
-// fragment layout expects.
+// fragment layout expects. An element never spans more than two bytes
+// (16-bit elements are byte-aligned, 12-bit ones start at a nibble), so the
+// accessors read or patch the 1-2 byte window that holds it.
 
 #include <cstdint>
 #include <cstring>
@@ -52,29 +54,41 @@ class PackedBuffer {
   /// Raw (unsigned) bit pattern of element i.
   std::uint32_t get_raw(std::size_t i) const {
     MAGICUBE_DCHECK(i < count_);
-    const int bits = bits_of(type_);
-    const std::size_t bit_off = i * static_cast<std::size_t>(bits);
-    std::uint32_t out = 0;
-    for (int b = 0; b < bits; ++b) {
-      const std::size_t pos = bit_off + static_cast<std::size_t>(b);
-      const std::uint32_t bit = (bytes_[pos >> 3] >> (pos & 7)) & 1u;
-      out |= bit << b;
-    }
-    return out;
+    return load_raw(bytes_.data(), i, bits_of(type_));
   }
 
+  /// Stores the low `bits` of `raw` as element i.
   void set_raw(std::size_t i, std::uint32_t raw) {
     MAGICUBE_DCHECK(i < count_);
-    const int bits = bits_of(type_);
+    store_raw(bytes_.data(), i, bits_of(type_), raw);
+  }
+
+  // The layout over a bare byte array, for loops that hoist data() and the
+  // width out of the element loop. Element i occupies bits
+  // [i*bits, (i+1)*bits); the second byte of its window is touched only
+  // when the element reaches into it, so the last element never reads past
+  // the buffer, and a store leaves its neighbours' bits untouched.
+
+  static std::uint32_t load_raw(const std::uint8_t* bytes, std::size_t i,
+                                int bits) {
     const std::size_t bit_off = i * static_cast<std::size_t>(bits);
-    for (int b = 0; b < bits; ++b) {
-      const std::size_t pos = bit_off + static_cast<std::size_t>(b);
-      const std::uint8_t mask = static_cast<std::uint8_t>(1u << (pos & 7));
-      if ((raw >> b) & 1u) {
-        bytes_[pos >> 3] |= mask;
-      } else {
-        bytes_[pos >> 3] &= static_cast<std::uint8_t>(~mask);
-      }
+    const std::uint8_t* p = bytes + (bit_off >> 3);
+    const int shift = static_cast<int>(bit_off & 7);
+    std::uint32_t window = p[0];
+    if (shift + bits > 8) window |= static_cast<std::uint32_t>(p[1]) << 8;
+    return (window >> shift) & ((1u << bits) - 1u);
+  }
+
+  static void store_raw(std::uint8_t* bytes, std::size_t i, int bits,
+                        std::uint32_t raw) {
+    const std::size_t bit_off = i * static_cast<std::size_t>(bits);
+    std::uint8_t* p = bytes + (bit_off >> 3);
+    const int shift = static_cast<int>(bit_off & 7);
+    const std::uint32_t mask = ((1u << bits) - 1u) << shift;
+    const std::uint32_t v = (raw << shift) & mask;
+    p[0] = static_cast<std::uint8_t>((p[0] & ~mask) | v);
+    if (shift + bits > 8) {
+      p[1] = static_cast<std::uint8_t>((p[1] & ~(mask >> 8)) | (v >> 8));
     }
   }
 

@@ -84,6 +84,15 @@ inline std::string to_string(Scalar s) {
   return "?";
 }
 
+/// Throws Error unless every observed value, spanning [lo, hi], fits `s`.
+/// An empty observation (lo > hi) fits any type.
+inline void check_fits(std::int32_t lo, std::int32_t hi, Scalar s) {
+  MAGICUBE_CHECK_MSG(lo > hi || (lo >= min_value(s) && hi <= max_value(s)),
+                     "operand values [" << lo << ", " << hi << "] do not fit "
+                                        << to_string(s) << " [" << min_value(s)
+                                        << ", " << max_value(s) << "]");
+}
+
 /// An operand-precision pair, e.g. {s16, s8} prints as "L16-R8".
 struct PrecisionPair {
   Scalar lhs = Scalar::s8;

@@ -4,26 +4,11 @@ namespace magicube::core {
 
 namespace {
 
-/// Decomposes a packed buffer into operand planes of `chunk_bits`. Native
-/// (single-chunk) types come back as one full-width plane.
-std::vector<OperandPlane> to_planes(const PackedBuffer& src, int chunk_bits) {
+std::vector<OperandPlane> to_operand_planes(quant::PlaneSet set) {
   std::vector<OperandPlane> out;
-  if (bits_of(src.type()) <= chunk_bits) {
-    OperandPlane p;
-    p.values = src;
-    p.weight = 1;
-    p.is_signed = is_signed(src.type());
-    out.push_back(std::move(p));
-    return out;
-  }
-  quant::PlaneSet set = quant::decompose(src, chunk_bits);
   out.reserve(set.planes.size());
   for (auto& plane : set.planes) {
-    OperandPlane p;
-    p.values = std::move(plane.values);
-    p.weight = plane.weight;
-    p.is_signed = plane.is_signed;
-    out.push_back(std::move(p));
+    out.push_back({std::move(plane.values), plane.weight, plane.is_signed});
   }
   return out;
 }
@@ -54,7 +39,8 @@ SparseOperand prepare_spmm_lhs(const sparse::BlockPattern& pattern,
   sparse::SrBcrs sr = sparse::build_sr_bcrs(pattern, dense_values,
                                             precision.lhs, stride);
   if (shuffle) sr = sparse::shuffle_columns(sr);
-  out.planes = to_planes(sr.values, lhs_chunk_bits(precision));
+  out.planes = to_operand_planes(
+      quant::decompose(sr.values, lhs_chunk_bits(precision)));
   out.structure = std::move(sr);
   return out;
 }
@@ -66,13 +52,15 @@ DenseOperand prepare_dense(const Matrix<std::int32_t>& values, Scalar type,
   out.cols = values.cols();
   out.row_major = row_major;
   out.logical_type = type;
-  PackedBuffer buf(values.size(), type);
-  for (std::size_t r = 0; r < values.rows(); ++r) {
-    for (std::size_t c = 0; c < values.cols(); ++c) {
-      buf.set(out.flat_index(r, c), values(r, c));
+  quant::PlanePacker packer(type, chunk_bits_if_emulated, values.size());
+  if (row_major) {
+    packer.put(0, values.data(), values.size());
+  } else {
+    for (std::size_t c = 0; c < out.cols; ++c) {
+      packer.put(c * out.rows, values.data() + c, out.rows, out.cols);
     }
   }
-  out.planes = to_planes(buf, chunk_bits_if_emulated);
+  out.planes = to_operand_planes(std::move(packer).finish());
   return out;
 }
 

@@ -50,7 +50,9 @@ struct OperandPlane {
 
 /// LHS sparse operand (structure + planes).
 struct SparseOperand {
-  sparse::SrBcrs structure;  // col indices / pointers; `values` holds plane 0
+  // Col indices / pointers, and `values` at the full logical width (not a
+  // plane: SrBcrs::validate/to_dense read it and footprint_bytes counts it).
+  sparse::SrBcrs structure;
   std::vector<OperandPlane> planes;
   Scalar logical_type = Scalar::s8;
 

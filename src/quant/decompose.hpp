@@ -10,6 +10,7 @@
 // supports signed x unsigned operand mixes, which makes this exact.
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/packed.hpp"
@@ -51,7 +52,34 @@ constexpr int plane_count(Scalar source, int chunk_bits) {
 void decompose_value(std::int32_t v, Scalar source, int chunk_bits,
                      std::int32_t* chunks_out);
 
+/// The one plane-packing pass: writes each element's chunks straight into
+/// its planes, chunk i being bits [i*chunk_bits, (i+1)*chunk_bits) of the
+/// element's two's-complement pattern. 8-bit chunks are stored as whole
+/// bytes; 4-bit chunks are ORed into the zero-initialised plane bytes, low
+/// nibble first. A source that fits in one chunk keeps its own type as its
+/// single plane. Values are range-checked once, by finish(), not per element.
+class PlanePacker {
+ public:
+  /// Zero-initialised planes for `count` elements of `source`.
+  PlanePacker(Scalar source, int chunk_bits, std::size_t count);
+
+  /// Writes elements [first, first + n) of every plane from
+  /// src[0], src[stride], ..., src[(n - 1) * stride]. Each element is
+  /// written at most once.
+  void put(std::size_t first, const std::int32_t* src, std::size_t n,
+           std::size_t stride = 1);
+
+  /// The planes, or Error if any value put was outside the source type.
+  PlaneSet finish() &&;
+
+ private:
+  PlaneSet set_;
+  std::int32_t lo_ = std::numeric_limits<std::int32_t>::max();
+  std::int32_t hi_ = std::numeric_limits<std::int32_t>::min();
+};
+
 /// Decomposes a packed operand into planes of width `chunk_bits` (4 or 8).
+/// A source that fits in one chunk comes back as a copy of itself.
 PlaneSet decompose(const PackedBuffer& src, int chunk_bits);
 
 /// Convenience: the chunk width Magicube picks when the *RHS* operand is

@@ -1,5 +1,8 @@
 #include "sparse/sr_bcrs.hpp"
 
+#include <algorithm>
+#include <limits>
+
 namespace magicube::sparse {
 
 std::size_t SrBcrs::valid_vectors_in_row(std::size_t r) const {
@@ -117,20 +120,32 @@ SrBcrs build_sr_bcrs(const BlockPattern& pattern,
   out.col_idx.assign(slots, kInvalidCol);
   out.values = PackedBuffer(slots * v, type);  // zero-initialized
 
+  // Row-in-block outer: each pass reads one dense row left to right and
+  // writes consecutive value slots (value_index's layout, with the byte
+  // array and width hoisted out of the loop). Range is checked once, after
+  // the fill.
+  const int bits = bits_of(type);
+  std::uint8_t* bytes = out.values.data();
+  std::int32_t lo = std::numeric_limits<std::int32_t>::max();
+  std::int32_t hi = std::numeric_limits<std::int32_t>::min();
   for (std::size_t r = 0; r < vr; ++r) {
     const std::size_t n = pattern.vectors_in_row(r);
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint32_t col = pattern.col_idx[pattern.row_ptr[r] + j];
-      const std::size_t slot = out.first_ptr[r] + j;
-      out.col_idx[slot] = col;
-      const std::size_t base = out.first_ptr[r] + (j / st) * st;
-      const std::size_t off = j % st;
-      for (std::size_t rb = 0; rb < v; ++rb) {
-        out.values.set(out.value_index(base, off, rb),
-                       dense(r * v + rb, col));
+    const std::uint32_t* cols = pattern.col_idx.data() + pattern.row_ptr[r];
+    const std::size_t first = out.first_ptr[r];
+    std::copy(cols, cols + n, out.col_idx.begin() + first);
+    for (std::size_t rb = 0; rb < v; ++rb) {
+      const std::int32_t* row = dense.row(r * v + rb);
+      for (std::size_t j = 0; j < n; ++j) {
+        const std::int32_t x = row[cols[j]];
+        lo = std::min(lo, x);
+        hi = std::max(hi, x);
+        const std::size_t slot_base = first + j / st * st;
+        PackedBuffer::store_raw(bytes, slot_base * v + rb * st + j % st, bits,
+                                encode_twos_complement(x, bits));
       }
     }
   }
+  check_fits(lo, hi, type);
   out.validate();
   return out;
 }

@@ -84,7 +84,105 @@ TEST(Packed, EncodeDecodeRoundTrip) {
   }
 }
 
+/// Test-only reference: the bit-serial accessors PackedBuffer had before
+/// its byte-window ones, over a plain byte array with the same layout.
+struct BitSerialOracle {
+  BitSerialOracle(std::size_t count, Scalar type)
+      : bits(bits_of(type)),
+        bytes((count * static_cast<std::size_t>(bits) + 7) / 8, 0) {}
+
+  std::uint32_t get_raw(std::size_t i) const {
+    const std::size_t bit_off = i * static_cast<std::size_t>(bits);
+    std::uint32_t out = 0;
+    for (int b = 0; b < bits; ++b) {
+      const std::size_t pos = bit_off + static_cast<std::size_t>(b);
+      out |= ((bytes[pos >> 3] >> (pos & 7)) & 1u) << b;
+    }
+    return out;
+  }
+
+  void set_raw(std::size_t i, std::uint32_t raw) {
+    const std::size_t bit_off = i * static_cast<std::size_t>(bits);
+    for (int b = 0; b < bits; ++b) {
+      const std::size_t pos = bit_off + static_cast<std::size_t>(b);
+      const auto mask = static_cast<std::uint8_t>(1u << (pos & 7));
+      if ((raw >> b) & 1u) {
+        bytes[pos >> 3] |= mask;
+      } else {
+        bytes[pos >> 3] &= static_cast<std::uint8_t>(~mask);
+      }
+    }
+  }
+
+  int bits;
+  std::vector<std::uint8_t> bytes;
+};
+
+/// Every element and every byte of `buf` agree with the oracle.
+void expect_matches_oracle(const PackedBuffer& buf,
+                           const BitSerialOracle& oracle) {
+  ASSERT_EQ(buf.byte_size(), oracle.bytes.size());
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    ASSERT_EQ(buf.get_raw(i), oracle.get_raw(i)) << "element " << i;
+  }
+  EXPECT_EQ(std::vector<std::uint8_t>(buf.data(), buf.data() + buf.byte_size()),
+            oracle.bytes);
+}
+
+/// 0..n-1 in a seeded random order (Fisher-Yates).
+std::vector<std::size_t> scrambled(std::size_t n, Rng& rng) {
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  for (std::size_t i = n; i > 1; --i) {
+    const auto j = static_cast<std::size_t>(
+        rng.next_in(0, static_cast<std::int64_t>(i) - 1));
+    std::swap(order[i - 1], order[j]);
+  }
+  return order;
+}
+
 class PackedBufferTest : public ::testing::TestWithParam<Scalar> {};
+
+TEST_P(PackedBufferTest, OddCountsMatchBitSerialOracle) {
+  // 7 and 257 elements: for 4- and 12-bit types the last element ends
+  // mid-byte, so a window that reads one byte too many shows under ASan.
+  const Scalar type = GetParam();
+  Rng rng(11);
+  for (std::size_t count : {std::size_t{7}, std::size_t{257}}) {
+    PackedBuffer buf(count, type);
+    BitSerialOracle oracle(count, type);
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto v = static_cast<std::int32_t>(
+          rng.next_in(min_value(type), max_value(type)));
+      buf.set(i, v);
+      oracle.set_raw(i, encode_twos_complement(v, bits_of(type)));
+    }
+    expect_matches_oracle(buf, oracle);
+  }
+}
+
+TEST_P(PackedBufferTest, ScrambledOverwritesMatchBitSerialOracle) {
+  // Fill in one random order, then overwrite in another: every write lands
+  // between non-zero neighbours and must leave their bits alone.
+  const Scalar type = GetParam();
+  const int bits = bits_of(type);
+  const std::uint32_t all_ones = (1u << bits) - 1u;
+  Rng rng(12);
+  PackedBuffer buf(257, type);
+  BitSerialOracle oracle(257, type);
+  for (int pass = 0; pass < 3; ++pass) {
+    for (std::size_t i : scrambled(buf.size(), rng)) {
+      // Pass 0 writes all-ones, so later passes overwrite set bits; the
+      // others draw any pattern, zero included.
+      const std::uint32_t raw =
+          pass == 0 ? all_ones
+                    : static_cast<std::uint32_t>(rng.next_u64()) & all_ones;
+      buf.set_raw(i, raw);
+      oracle.set_raw(i, raw);
+    }
+    expect_matches_oracle(buf, oracle);
+  }
+}
 
 TEST_P(PackedBufferTest, SetGetRoundTrip) {
   const Scalar type = GetParam();

@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "common/rng.hpp"
+#include "core/operands.hpp"
 #include "quant/decompose.hpp"
 #include "quant/quantizer.hpp"
 #include "support/conformance.hpp"
@@ -292,6 +293,46 @@ TEST(Decompose, PlaneStructureMatchesSignednessAndWeights) {
         const bool is_top = pi + 1 == planes.planes.size();
         EXPECT_EQ(plane.is_signed, is_signed(type) && is_top)
             << to_string(type) << " plane " << pi;
+      }
+    }
+  }
+}
+
+TEST(Decompose, PrepareDensePlanesMatchDecomposeOfSetBuffer) {
+  // prepare_dense packs planes in one pass straight from the matrix; the
+  // oracle fills a full-width PackedBuffer with set() and decomposes it.
+  // 7 x 9 is odd both ways, so 4-bit planes end mid-byte in either layout.
+  constexpr std::size_t kRows = 7, kCols = 9;
+  Rng rng(0x7e9);
+  for (Scalar type : {Scalar::u4, Scalar::s4, Scalar::u8, Scalar::s8,
+                      Scalar::u12, Scalar::s12, Scalar::u16, Scalar::s16}) {
+    const auto values = core::random_values(kRows, kCols, type, rng);
+    for (int chunk_bits : {4, 8}) {
+      for (bool row_major : {true, false}) {
+        SCOPED_TRACE(to_string(type) + " into " + std::to_string(chunk_bits) +
+                     (row_major ? "-bit, row-major" : "-bit, column-major"));
+        if (bits_of(type) > chunk_bits && bits_of(type) % chunk_bits != 0) {
+          // 12-bit sources have no 8-bit chunking, on either path.
+          EXPECT_THROW(core::prepare_dense(values, type, row_major, chunk_bits),
+                       Error);
+          continue;
+        }
+        const auto dense =
+            core::prepare_dense(values, type, row_major, chunk_bits);
+        PackedBuffer buf(values.size(), type);
+        for (std::size_t r = 0; r < kRows; ++r) {
+          for (std::size_t c = 0; c < kCols; ++c) {
+            buf.set(dense.flat_index(r, c), values(r, c));
+          }
+        }
+        const PlaneSet expect = decompose(buf, chunk_bits);
+        ASSERT_EQ(dense.planes.size(), expect.planes.size());
+        for (std::size_t pi = 0; pi < expect.planes.size(); ++pi) {
+          EXPECT_EQ(dense.planes[pi].values, expect.planes[pi].values)
+              << "plane " << pi;
+          EXPECT_EQ(dense.planes[pi].weight, expect.planes[pi].weight);
+          EXPECT_EQ(dense.planes[pi].is_signed, expect.planes[pi].is_signed);
+        }
       }
     }
   }

@@ -446,15 +446,30 @@ TEST(SingleDevicePool, MalformedRequestFailsItsFutureOnly) {
 
   Request bad = spmm_request(p, precision::L8R8);
   bad.rhs_values = nullptr;
+  // A value that does not fit s8 fails in operand prep in every build type
+  // instead of being stored truncated.
+  auto wide = std::make_shared<Matrix<std::int32_t>>(*p.rhs);
+  (*wide)(kK - 1, kN - 1) = 200;
+  Request out_of_range = spmm_request(p, precision::L8R8);
+  out_of_range.rhs_values = wide;
   auto bad_future = engine.submit(std::move(bad));
+  auto range_future = engine.submit(std::move(out_of_range));
   auto good_future = engine.submit(spmm_request(p, precision::L8R8));
 
   EXPECT_THROW(bad_future.get(), Error);
-  EXPECT_TRUE(good_future.get().spmm.has_value());
+  EXPECT_THROW(range_future.get(), Error);
+  const Response good = good_future.get();
+  ASSERT_TRUE(good.spmm.has_value());
+  core::SpmmConfig cfg;
+  cfg.precision = precision::L8R8;
+  const auto lhs = core::prepare_spmm_lhs(*p.pattern, *p.lhs, cfg.precision,
+                                          core::needs_shuffle(cfg));
+  const auto rhs = core::prepare_spmm_rhs(*p.rhs, cfg.precision);
+  EXPECT_EQ(good.spmm->c, core::spmm(lhs, rhs, cfg).c);
   engine.drain();  // stats are final only once the engine is idle
   const DevicePoolStats ss = engine.stats();
-  EXPECT_EQ(ss.completed, 2u);
-  EXPECT_EQ(ss.failed, 1u);
+  EXPECT_EQ(ss.completed, 3u);
+  EXPECT_EQ(ss.failed, 2u);
 }
 
 TEST(SingleDevicePool, DrainCompletesAllSubmitted) {

@@ -212,6 +212,15 @@ TEST(Spmm, RejectsMismatchedOperands) {
   const auto b4 =
       prepare_spmm_rhs(random_values(32, 128, Scalar::s4, rng), cfg4.precision);
   EXPECT_THROW(spmm(a4_plain, b4, cfg4), Error);
+  // Values outside the operand's precision are rejected in every build
+  // type, not stored truncated: one on a stored LHS slot, one in the RHS.
+  ASSERT_GT(pattern.vectors_in_row(0), 0u);
+  auto a_wide = a_vals;
+  a_wide(0, pattern.col_idx[pattern.row_ptr[0]]) = 200;
+  EXPECT_THROW(prepare_spmm_lhs(pattern, a_wide, cfg.precision, false), Error);
+  auto b_wide = b_vals;
+  b_wide(31, 127) = -129;
+  EXPECT_THROW(prepare_spmm_rhs(b_wide, cfg.precision), Error);
 }
 
 TEST(Spmm, UsefulOpsCountsLogicalWork) {
